@@ -1,10 +1,11 @@
 """CSV ingestion, configuration, reporting, and the ``drci`` command line.
 
-Commands: ``att``, ``atc``, ``did``, ``cic``, ``iv`` produce a JSON report;
-``simulate`` emits the Monte Carlo bias table as CSV; ``sweep`` solves both
-directions over a gamma x delta grid and emits CSV.  Configuration comes
-from an optional JSON file with CLI flags taking precedence.  Exit codes:
-0 optimal, 2 infeasible, 1 error.
+Commands: ``att``, ``atc``, ``did``, ``cic``, ``iv`` produce a JSON report
+(solver warnings included); ``simulate`` emits the Monte Carlo bias table as
+CSV; ``sweep`` solves both directions over a gamma x delta grid and emits
+CSV.  Configuration comes from an optional JSON file with CLI flags taking
+precedence.  Exit codes: 0 optimal, 2 infeasible, 1 error (bad input or a
+failed linear program).
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class Report:
     weights: dict[str, float] | None
     runtime_ms: float
     config: dict
+    warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
@@ -144,6 +146,7 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         raw = json.loads(text)
+        raw["warnings"] = tuple(raw.get("warnings", ()))
         return cls(**raw)
 
 
@@ -287,6 +290,7 @@ def run(config: RunConfig, data: Dataset | None = None) -> Report:
         weights=weights,
         runtime_ms=runtime_ms,
         config=config.echo(),
+        warnings=result.warnings,
     )
 
 
@@ -473,7 +477,7 @@ def main(argv=None) -> int:
         report = run(config)
         _emit(config, report.to_json())
         return 0 if report.status == "optimal" else 2
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

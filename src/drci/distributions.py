@@ -305,6 +305,8 @@ class Dataset:
                 if arr.ndim != 2 or arr.shape[0] != y.size:
                     raise ValueError("x must be an (n, J) matrix")
                 arr = arr.astype(float)
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError("covariates must be finite")
             else:
                 if arr.shape != y.shape:
                     raise ValueError(f"{name} must have length n")

@@ -11,9 +11,20 @@ distance ``delta``; it is solved exactly by enumerating the shift grid
 Per shift, the constraints reduce to interval bounds on the cumulative
 weight at each control atom plus per-atom capacities.  The feasible set of
 cumulative vectors is a lattice, so the componentwise least (greatest)
-element exists and maximizes (minimizes) the weighted mean; both are
-computed by prefix/suffix scans, vectorized across all shifts.  Runs with
-covariate-balance terms fall back to the bounded-variable simplex.
+element exists and maximizes (minimizes) the weighted mean.  The KS band
+binds the cumulative weight only at a few breakpoint columns: in grid mode
+the columns of the 2m+1 evaluation points, which are the same for every
+shift, plus the pinned first and last column (L <= 2m+3 in all); in exact
+mode every column.  The prefix/suffix scans that find both elements run on
+the (S, L) breakpoint bands, vectorized across all S shifts, and give
+exactly the values a scan over all K atoms gives there.  Between two
+breakpoints the least element fills the bucket's mass greedily from its top
+atom and the greatest from its bottom atom, so both weighted means follow
+in closed form from prefix sums of the capacities and capacity-weighted
+outcomes.  Only the chosen shift's allocation is expanded to the K atoms.
+A grid-mode solve thus costs O(K log K + m L) time and memory, not O(m K).
+Runs with covariate-balance terms fall back to the bounded-variable simplex,
+one LP per shift with band rows at the breakpoints.
 """
 
 from __future__ import annotations
@@ -71,8 +82,8 @@ class SensitivityConfig:
             raise ValueError("delta must be in [0, 1]")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.lambda_tv < 0:
-            raise ValueError("lambda_tv must be nonnegative")
+        if not 0 <= self.lambda_tv <= 1:
+            raise ValueError("lambda_tv must be in [0, 1]")
         if self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.balance_lambda < 0:
@@ -129,20 +140,31 @@ def _infeasible(direction: str, treated_mean: float, warnings=()) -> BoundResult
 
 @dataclass(frozen=True)
 class _ControlAtoms:
-    """Distinct control outcome values with per-atom capacities."""
+    """Distinct control outcome values with per-atom capacities.
 
-    atoms: np.ndarray     # (K,) ascending
-    counts: np.ndarray    # units per atom
-    inverse: np.ndarray   # atom index per control unit
-    caps: np.ndarray      # per-atom capacity = count * gamma / n0
+    Column ``j`` (0..K) stands for the cumulative weight on the ``j`` lowest
+    atoms; ``cum_caps[j]`` and ``cum_moments[j]`` are the capacity of those
+    atoms and its outcome-weighted sum.  Outcomes enter the moments relative
+    to the lowest atom, so their rounding scales with the outcome range, not
+    with the outcome level.
+    """
+
+    atoms: np.ndarray        # (K,) ascending
+    counts: np.ndarray       # units per atom
+    inverse: np.ndarray      # atom index per control unit
+    cum_caps: np.ndarray     # (K+1,) [0, cumsum(caps)], caps = count * gamma / n0
+    cum_moments: np.ndarray  # (K+1,) [0, cumsum(caps * (atoms - atoms[0]))]
 
     @classmethod
     def build(cls, control_y: np.ndarray, cap_per_unit: float) -> "_ControlAtoms":
         atoms, inverse, counts = np.unique(
             control_y, return_inverse=True, return_counts=True
         )
+        caps = counts * cap_per_unit
         return cls(atoms=atoms, counts=counts, inverse=inverse,
-                   caps=counts * cap_per_unit)
+                   cum_caps=np.concatenate(([0.0], np.cumsum(caps))),
+                   cum_moments=np.concatenate(
+                       ([0.0], np.cumsum(caps * (atoms - atoms[0])))))
 
     def unit_weights(self, masses: np.ndarray) -> np.ndarray:
         """Split per-atom masses equally among the atom's units."""
@@ -153,51 +175,145 @@ class _ControlAtoms:
 # per-shift subproblem: extreme weighted means under cumulative bands
 
 
-def _extreme_cumulatives(lo: np.ndarray, hi: np.ndarray, caps: np.ndarray):
-    """Least and greatest feasible cumulative-weight vectors per row.
+@dataclass(frozen=True)
+class _Bands:
+    """The KS band of every shift at its breakpoint columns.
 
-    ``lo``/``hi`` are (S, K+1) interval bounds on the cumulative weight
-    after atom j (index 0 = below all atoms, index K = total mass, pinned to
-    1).  Returns ``(feasible, cum_least, cum_great)`` where the cumulative
-    matrices are (S, K); the least vector maximizes the weighted mean and
-    the greatest minimizes it.
+    The band bounds the cumulative weight only at ``cols`` (ascending, always
+    including the pinned columns 0 and K); the atoms between two consecutive
+    breakpoints form one bucket.  ``top``/``bottom`` (S, L) hold the largest
+    and smallest treated-CDF value the band compares with each breakpoint
+    (``-inf``/``inf`` where it compares none), so the band at ``delta`` is
+    ``[top - delta, bottom + delta]``.
     """
-    n_rows, kp1 = lo.shape
-    k = kp1 - 1
-    p_full = np.concatenate(([0.0], np.cumsum(caps)))  # (K+1,)
 
+    cols: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @classmethod
+    def unconstrained(cls, cols: np.ndarray, n_shifts: int) -> "_Bands":
+        shape = (n_shifts, cols.size)
+        return cls(cols, np.full(shape, -np.inf), np.full(shape, np.inf))
+
+    def at(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        # rounding is monotone, so max(x) - delta == max(x - delta) exactly
+        return self.top - delta, self.bottom + delta
+
+
+def _column_extremes(idx: np.ndarray, values: np.ndarray):
+    """Columns hit by ``idx`` (nondecreasing) and the max and min of
+    ``values`` (along the last axis) over each column's evaluation points."""
+    cols, starts = np.unique(idx, return_index=True)
+    return (cols, np.maximum.reduceat(values, starts, axis=-1),
+            np.minimum.reduceat(values, starts, axis=-1))
+
+
+def _bands(ctrl: _ControlAtoms, target: WeightedEcdf, grid: ShiftGrid,
+           ks_mode: str) -> _Bands:
+    """Breakpoint bands of the double-grid KS constraint (at most 2m+3
+    columns, shared by every shift) or of the exact one (every column)."""
+    k, n_shifts = ctrl.atoms.size, grid.shifts.size
+    if ks_mode == "grid" and not grid.degenerate:
+        m, eps = grid.m, grid.epsilon
+        idx = np.searchsorted(ctrl.atoms, grid.anchor + np.arange(2 * m + 1) * eps,
+                              side="right")
+        f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
+        tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
+        hit, t_max, t_min = _column_extremes(idx, tmat)
+        bands = _Bands.unconstrained(np.union1d(hit, [0, k]), n_shifts)
+        pos = np.searchsorted(bands.cols, hit)
+        bands.top[:, pos], bands.bottom[:, pos] = t_max, t_min
+        return bands
+    bands = _Bands.unconstrained(np.arange(k + 1), n_shifts)
+    for j, c in enumerate(grid.shifts):
+        pts = np.union1d(ctrl.atoms, target.atoms - c)
+        hit, t_max, t_min = _column_extremes(
+            np.searchsorted(ctrl.atoms, pts, side="right"), target.cdf(pts + c)
+        )
+        bands.top[j, hit], bands.bottom[j, hit] = t_max, t_min
+    return bands
+
+
+def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
+    """Least and greatest feasible cumulative weights at the breakpoints.
+
+    ``lo``/``hi`` (S, L) bound the cumulative weight at the breakpoint
+    columns; the first is pinned to 0, the last to the total mass 1.  ``p``
+    (L,) is the capacity below each breakpoint.  Returns
+    ``(feasible, c_least, c_great)`` with the cumulatives (S, L-1) at the
+    breakpoints after the first.  A column between breakpoints has band
+    ``[0, 1]`` and never wins the scans' max/min, so these are exactly the
+    values the scans over all K+1 columns give at the breakpoints.
+    """
     feasible = (
         (lo[:, 0] <= _TOL)
         & (hi[:, 0] >= -_TOL)
-        & (lo[:, k] <= 1 + _TOL)
-        & (hi[:, k] >= 1 - _TOL)
+        & (lo[:, -1] <= 1 + _TOL)
+        & (hi[:, -1] >= 1 - _TOL)
     )
 
     lo_c = np.clip(lo, 0.0, 1.0)
     hi_c = np.clip(hi, 0.0, 1.0)
     lo_c[:, 0] = 0.0
     hi_c[:, 0] = 0.0
-    lo_c[:, k] = 1.0
-    hi_c[:, k] = 1.0
+    lo_c[:, -1] = 1.0
+    hi_c[:, -1] = 1.0
 
     # least element: backward propagation of lower bounds through capacities
-    g = lo_c - p_full
+    g = lo_c - p
     m_suffix = np.flip(np.maximum.accumulate(np.flip(g, axis=1), axis=1), axis=1)
-    r = p_full + m_suffix
+    r = p + m_suffix
     feasible &= r[:, 0] <= _TOL
-    cum_least = np.maximum.accumulate(r[:, 1:], axis=1)
-    feasible &= np.all(cum_least <= hi_c[:, 1:] + _TOL, axis=1)
+    c_least = np.maximum.accumulate(r[:, 1:], axis=1)
+    feasible &= np.all(c_least <= hi_c[:, 1:] + _TOL, axis=1)
 
     # greatest element: forward propagation of upper bounds
     hh = np.flip(np.minimum.accumulate(np.flip(hi_c, axis=1), axis=1), axis=1)
-    d = hh - p_full
+    d = hh - p
     d[:, 0] = 0.0  # cumulative starts at zero
-    cum_great = p_full[1:] + np.minimum.accumulate(d, axis=1)[:, 1:]
-    feasible &= np.all(cum_great >= lo_c[:, 1:] - _TOL, axis=1)
+    c_great = p[1:] + np.minimum.accumulate(d, axis=1)[:, 1:]
+    feasible &= np.all(c_great >= lo_c[:, 1:] - _TOL, axis=1)
 
-    cum_least[:, -1] = 1.0
-    cum_great[:, -1] = 1.0
-    return feasible, cum_least, cum_great
+    c_least[:, -1] = 1.0
+    c_great[:, -1] = 1.0
+    return feasible, c_least, c_great
+
+
+def _bucket_means(ctrl: _ControlAtoms, cols: np.ndarray, cum: np.ndarray,
+                  from_top: bool) -> np.ndarray:
+    """Weighted mean per row of the allocation with cumulative weight
+    ``cum`` (S, L-1) at ``cols[1:]``, filling each bucket's mass greedily
+    from its top atom (the least element) or its bottom atom (the greatest).
+
+    Full atoms add a prefix-sum difference; one partial atom per bucket
+    takes the rest, which also absorbs the rounding overshoot of the scans.
+    """
+    p, q, atoms = ctrl.cum_caps, ctrl.cum_moments, ctrl.atoms
+    start, end = cols[:-1], cols[1:]
+    need = np.diff(cum, prepend=0.0, axis=1)
+    if from_top:
+        cut = np.clip(np.searchsorted(p, p[end] - need), start, end)
+        full_mass, full_moment = p[end] - p[cut], q[end] - q[cut]
+        edge = np.maximum(cut - 1, start)
+    else:
+        cut = np.clip(np.searchsorted(p, p[start] + need, side="right") - 1,
+                      start, end)
+        full_mass, full_moment = p[cut] - p[start], q[cut] - q[start]
+        edge = np.minimum(cut, end - 1)
+    rest = (need - full_mass) * (atoms[edge] - atoms[0])
+    return atoms[0] + (full_moment + rest).sum(axis=1)
+
+
+def _bucket_cumulative(cols: np.ndarray, c: np.ndarray, p: np.ndarray,
+                       from_top: bool) -> np.ndarray:
+    """Cumulative weight (K,) at columns 1..K of one row's bucket fill."""
+    bucket = np.repeat(np.arange(1, cols.size), np.diff(cols))
+    c_cols = np.concatenate(([0.0], c))
+    prev, nxt = c_cols[bucket - 1], c_cols[bucket]
+    if from_top:
+        return np.maximum(prev, nxt - (p[cols[bucket]] - p[1:]))
+    return np.minimum(prev + (p[1:] - p[cols[bucket - 1]]), nxt)
 
 
 def _masses(cum: np.ndarray) -> np.ndarray:
@@ -206,60 +322,33 @@ def _masses(cum: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ShiftSolve:
-    """Feasibility and attainable weighted-mean ranges for every shift."""
+    """Feasibility and attainable weighted-mean ranges for every shift.
+
+    The extreme allocations are kept as their cumulative weights at the
+    breakpoint columns ``cols[1:]``; ``cum_caps`` expands one to all atoms.
+    """
 
     shifts: np.ndarray
     feasible: np.ndarray
     obj_min: np.ndarray
     obj_max: np.ndarray
-    cum_least: np.ndarray
-    cum_great: np.ndarray
+    cols: np.ndarray
+    cum_caps: np.ndarray
+    c_least: np.ndarray
+    c_great: np.ndarray
 
     def masses_for(self, idx: int, value: float, atoms: np.ndarray) -> np.ndarray:
-        """Per-atom masses attaining ``value`` at shift ``idx`` (blend of the
-        two extreme allocations; any intermediate mean is attainable)."""
-        v_hi = _masses(self.cum_least[idx])
-        v_lo = _masses(self.cum_great[idx])
+        """Masses on ``atoms`` attaining ``value`` at shift ``idx`` (blend of
+        the two extreme allocations; any intermediate mean is attainable)."""
+        v_hi = _masses(_bucket_cumulative(self.cols, self.c_least[idx],
+                                          self.cum_caps, from_top=True))
         f_max, f_min = self.obj_max[idx], self.obj_min[idx]
         if f_max - f_min <= _TIE_TOL:
             return v_hi
+        v_lo = _masses(_bucket_cumulative(self.cols, self.c_great[idx],
+                                          self.cum_caps, from_top=False))
         lam = np.clip((value - f_min) / (f_max - f_min), 0.0, 1.0)
         return lam * v_hi + (1.0 - lam) * v_lo
-
-
-def _band_matrices_grid(
-    ctrl: _ControlAtoms, target: WeightedEcdf, grid: ShiftGrid, delta: float
-):
-    """Cumulative-band matrices (S, K+1) for the double-grid KS constraint."""
-    m, eps = grid.m, grid.epsilon
-    kk = np.arange(2 * m + 1)
-    eval_pts = grid.anchor + kk * eps
-    idx = np.searchsorted(ctrl.atoms, eval_pts, side="right")
-    f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
-    tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
-    n_shifts, k = grid.shifts.size, ctrl.atoms.size
-    lo = np.full((n_shifts, k + 1), -np.inf)
-    hi = np.full((n_shifts, k + 1), np.inf)
-    uq, starts = np.unique(idx, return_index=True)
-    lo[:, uq] = np.maximum.reduceat(tmat - delta, starts, axis=1)
-    hi[:, uq] = np.minimum.reduceat(tmat + delta, starts, axis=1)
-    return lo, hi
-
-
-def _band_row_exact(
-    ctrl: _ControlAtoms, target: WeightedEcdf, c: float, delta: float
-):
-    """Cumulative bands (K+1,) for the exact KS constraint at one shift."""
-    pts = np.union1d(ctrl.atoms, target.atoms - c)
-    idx = np.searchsorted(ctrl.atoms, pts, side="right")
-    tv = target.cdf(pts + c)
-    k = ctrl.atoms.size
-    lo = np.full(k + 1, -np.inf)
-    hi = np.full(k + 1, np.inf)
-    uq, starts = np.unique(idx, return_index=True)
-    lo[uq] = np.maximum.reduceat(tv - delta, starts)
-    hi[uq] = np.minimum.reduceat(tv + delta, starts)
-    return lo, hi
 
 
 def _shift_solve(
@@ -270,27 +359,20 @@ def _shift_solve(
     ks_mode: str,
 ) -> _ShiftSolve:
     """Solve the per-shift weighted-mean extremes for every grid shift."""
-    if ks_mode == "grid" and not grid.degenerate:
-        lo, hi = _band_matrices_grid(ctrl, target, grid, delta)
-    else:
-        rows = [_band_row_exact(ctrl, target, c, delta) for c in grid.shifts]
-        lo = np.stack([r[0] for r in rows])
-        hi = np.stack([r[1] for r in rows])
-    feasible, cum_least, cum_great = _extreme_cumulatives(lo, hi, ctrl.caps)
-    obj_max = _masses_dot(cum_least, ctrl.atoms)
-    obj_min = _masses_dot(cum_great, ctrl.atoms)
+    bands = _bands(ctrl, target, grid, ks_mode)
+    feasible, c_least, c_great = _breakpoint_extremes(
+        *bands.at(delta), ctrl.cum_caps[bands.cols]
+    )
     return _ShiftSolve(
         shifts=grid.shifts,
         feasible=feasible,
-        obj_min=obj_min,
-        obj_max=obj_max,
-        cum_least=cum_least,
-        cum_great=cum_great,
+        obj_min=_bucket_means(ctrl, bands.cols, c_great, from_top=False),
+        obj_max=_bucket_means(ctrl, bands.cols, c_least, from_top=True),
+        cols=bands.cols,
+        cum_caps=ctrl.cum_caps,
+        c_least=c_least,
+        c_great=c_great,
     )
-
-
-def _masses_dot(cum: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    return np.diff(cum, prepend=0.0, axis=1) @ atoms
 
 
 def _select_shift(values: np.ndarray, ok: np.ndarray, shifts: np.ndarray,
@@ -478,22 +560,15 @@ def _distributional_lp_route(
 
     bal = balance_terms(data, config.balance_lambda) if config.wants_balance else None
     maximize = config.direction == "lower"
-    grid_bands = (
-        _band_matrices_grid(ctrl, target, grid, config.delta)
-        if config.ks_mode == "grid" and not grid.degenerate
-        else None
-    )
+    bands = _bands(ctrl, target, grid, config.ks_mode)
+    lo, hi = bands.at(config.delta)
 
     best = None  # (penalized value, |shift|, shift, w, raw value)
     for j, c_shift in enumerate(grid.shifts):
-        if grid_bands is not None:
-            lo_row, hi_row = grid_bands[0][j], grid_bands[1][j]
-        else:
-            lo_row, hi_row = _band_row_exact(ctrl, target, c_shift, config.delta)
-        if lo_row[0] > _TOL or hi_row[-1] < 1 - _TOL or lo_row[-1] > 1 + _TOL:
+        if lo[j, 0] > _TOL or hi[j, -1] < 1 - _TOL or lo[j, -1] > 1 + _TOL:
             continue
         sol = _solve_balance_lp(
-            data, config, bal, lo_row, hi_row, ctrl, mean_window
+            data, config, bal, bands.cols, lo[j], hi[j], ctrl, mean_window
         )
         if sol is None:
             continue
@@ -514,7 +589,7 @@ def _distributional_lp_route(
     )
 
 
-def _solve_balance_lp(data, config, bal, lo_row, hi_row, ctrl, mean_window):
+def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
     """One per-shift LP over [control weights, balance slacks]."""
     y0 = data.control_y
     n0 = y0.size
@@ -527,17 +602,17 @@ def _solve_balance_lp(data, config, bal, lo_row, hi_row, ctrl, mean_window):
         c[n0:] = -bal.lam if maximize else bal.lam
 
     rows_a, rows_b = [], []
-    # cumulative KS bands per atom bucket (indicator rows over units)
-    k = ctrl.atoms.size
-    ind = (ctrl.inverse[None, :] <= np.arange(k)[:, None]).astype(float)
-    for q in range(1, k + 1):
-        row = np.concatenate([ind[q - 1], np.zeros(n_aux)])
-        if hi_row[q] < 1:
+    # cumulative KS bands at the breakpoint columns (indicator rows over units)
+    for q, lo_q, hi_q in zip(cols[1:], lo_row[1:], hi_row[1:]):
+        if hi_q >= 1 and lo_q <= 0:
+            continue
+        row = np.concatenate([(ctrl.inverse < q).astype(float), np.zeros(n_aux)])
+        if hi_q < 1:
             rows_a.append(row)
-            rows_b.append(min(hi_row[q], 1.0))
-        if lo_row[q] > 0:
+            rows_b.append(min(hi_q, 1.0))
+        if lo_q > 0:
             rows_a.append(-row)
-            rows_b.append(-lo_row[q])
+            rows_b.append(-lo_q)
     s_caps = np.zeros(n_aux)
     if bal is not None:
         for j in range(bal.n_covariates):
@@ -694,14 +769,19 @@ def minimal_achievable_ks(
 
     Bisects on the feasibility of the shift enumeration; the model at
     ``delta`` is feasible iff ``delta >=`` this threshold (up to ``tol``).
+    The breakpoint bands do not depend on ``delta``, so they are built once
+    and each step reruns only the breakpoint scans.
     """
     y0 = data.control_y
     ctrl = _ControlAtoms.build(y0, gamma / y0.size)
     target = ecdf(data.treated_y)
     grid = shift_grid(data.y, m)
 
+    bands = _bands(ctrl, target, grid, ks_mode)
+    p = ctrl.cum_caps[bands.cols]
+
     def feasible(delta: float) -> bool:
-        return bool(_shift_solve(ctrl, target, grid, delta, ks_mode).feasible.any())
+        return bool(_breakpoint_extremes(*bands.at(delta), p)[0].any())
 
     lo_d, hi_d = 0.0, 1.0
     if feasible(lo_d):

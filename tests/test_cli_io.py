@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import drci.dro_solvers
 from drci.cli_io import ColumnMap, Report, RunConfig, load_csv, main, run, sweep
 from drci.dro_solvers import minimal_achievable_ks
 
@@ -98,6 +100,12 @@ class TestRun:
         clone = Report.from_json(report.to_json())
         assert clone == report
         assert clone.weights is not None
+        warned = replace(report, warnings=("stratum (t=0, z=1) is small",))
+        assert Report.from_json(warned.to_json()) == warned
+        # reports written before the warnings field existed still load
+        legacy = json.loads(report.to_json())
+        del legacy["warnings"]
+        assert Report.from_json(json.dumps(legacy)) == report
 
     def test_log_outcome(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -173,6 +181,30 @@ class TestMain:
     def test_error_exit_one(self, capsys):
         code = main(["att", "--input", "/nonexistent.csv"])
         assert code == 1
+
+    def test_lp_failure_exit_one(self, fixture_csv, capsys, monkeypatch):
+        def failing_solve_lp(problem):
+            raise RuntimeError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(drci.dro_solvers, "solve_lp", failing_solve_lp)
+        code = main(["att", "--input", fixture_csv, "--model", "tv",
+                     "--lambda-tv", "0.2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: simplex iteration limit exceeded\n"
+        assert captured.out == ""
+
+    def test_iv_warning_reaches_report(self, tmp_path, capsys):
+        path = tmp_path / "iv.csv"
+        path.write_text("y,t,z\n0,0,0\n0.5,0,1\n1,0,1\n2,1,0\n3,1,0\n"
+                        "4,1,1\n5,1,1\n")
+        code = main(["iv", "--input", str(path), "--delta", "1.0", "--m", "2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["warnings"] == [
+            "stratum (t=0, z=0) has fewer than 2 units; "
+            "bounds may be overly conservative"
+        ]
 
     def test_config_file_with_flag_override(self, fixture_csv, tmp_path, capsys):
         conf = tmp_path / "cfg.json"

@@ -277,6 +277,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=[0, 1], t=[0, 1], x=[[1.0], [2.0], [3.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_covariates(self, bad):
+        with pytest.raises(ValueError, match="covariates must be finite"):
+            Dataset(y=[0, 1, 2], t=[0, 1, 1], x=[[1.0], [bad], [3.0]])
+
     def test_swap_arms(self):
         d = Dataset(y=[0, 1, 2], t=[0, 1, 1])
         s = d.swap_arms()

@@ -1,9 +1,11 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from drci.distributions import Dataset
+from drci.distributions import Dataset, cic_target_cdf, ecdf, shift_grid
 from drci.dro_solvers import (
     SensitivityConfig,
     atc_bound,
@@ -14,9 +16,16 @@ from drci.dro_solvers import (
     minimal_achievable_ks,
     tv_att_bound,
 )
+from drci.extensions import DidTargets, cic_att_bound, did_att_bound, iv_att_bound
 from drci.lp_core import LpProblem, solve_lp
 
-from oracles import box_simplex_extreme, brute_distributional, vertex_solve
+from oracles import (
+    box_simplex_extreme,
+    brute_distributional,
+    brute_iv,
+    raw_shift_rows,
+    vertex_solve,
+)
 
 FIVE_UNITS = Dataset(y=[0, 1, 2, 2, 3], t=[0, 0, 0, 1, 1])
 
@@ -196,6 +205,166 @@ class TestDistributional:
         cfg = SensitivityConfig(gamma=1.0, delta=1.0, m=3)
         r = distributional_att_bound(data, cfg)
         assert r.active_shift == 0.0
+
+
+_KERNEL_SHAPES = ("spread", "narrow", "ties", "earnings")
+
+
+def _kernel_outcomes(rng, shape, n0, n1):
+    """Control and treated outcomes that stress the bucket kernel.
+
+    ``spread``: many control atoms per bucket.  ``narrow``: controls packed
+    between a few evaluation points, so several evaluation points share a
+    band column and most gaps between them hold no atom.  ``ties``: few
+    distinct values shared by both arms.  ``earnings``: zero-inflated,
+    rounded lognormal outcomes of order 1e4.
+    """
+    if shape == "spread":
+        return rng.normal(0, 1, n0), rng.normal(0.5, 1.3, n1)
+    if shape == "narrow":
+        return rng.normal(0, 0.05, n0), rng.normal(0, 2, n1)
+    if shape == "ties":
+        return (rng.integers(0, 4, n0).astype(float),
+                rng.integers(0, 6, n1).astype(float))
+    return tuple(
+        np.where(rng.random(n) < 0.3, 0.0, np.round(rng.lognormal(mu, 1, n)))
+        for n, mu in ((n0, 9.0), (n1, 9.2))
+    )
+
+
+def _kernel_dataset(rng, shape, n0, n1):
+    y = np.concatenate(_kernel_outcomes(rng, shape, n0, n1))
+    y_b = y + rng.normal(0, 0.2 * y.std(), y.size)  # baselines for DiD/CIC
+    return Dataset(y=y, t=np.r_[np.zeros(n0, int), np.ones(n1, int)], y_b=y_b)
+
+
+def _assert_optimal_weights(data, r, cfg):
+    """Caps, simplex, reported mean and KS band at the active shift, the
+    band rows taken from the oracle's unconsolidated constraint builder."""
+    w = np.array([r.weights[int(i)] for i in data.control_indices])
+    y0 = data.control_y
+    scale = max(1.0, np.abs(data.y).max())
+    assert w.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(w >= -1e-12) and np.all(w <= cfg.gamma / data.n0 + 1e-12)
+    assert w @ y0 == pytest.approx(r.counterfactual_mean, abs=1e-9 * scale)
+    grid = shift_grid(data.y, cfg.m)
+    j = int(np.flatnonzero(grid.shifts == r.active_shift)[0])
+    ts = np.sort(data.treated_y)
+    tc = np.arange(ts.size + 1) / ts.size
+    mode = "exact_atoms" if grid.degenerate else cfg.ks_mode
+    a, b = raw_shift_rows(y0, ts, tc, grid.anchor, grid.c0, grid.epsilon, cfg.m,
+                          j, cfg.delta, mode, r.active_shift)
+    assert np.all(a @ w <= b + 1e-8)
+
+
+class TestBucketKernel:
+    """The breakpoint kernel against the independent brute-force oracles."""
+
+    @pytest.mark.parametrize("mode", ["grid", "exact_atoms"])
+    def test_distributional_matches_oracle(self, mode):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(60 if mode == "grid" else 61)
+        infeasible = 0
+        for trial in range(16):
+            data = _kernel_dataset(rng, _KERNEL_SHAPES[trial % 4],
+                                   int(rng.integers(12, 30)), int(rng.integers(3, 12)))
+            gamma = float(rng.uniform(1, 4))
+            delta = float(rng.uniform(0.05, 0.6))
+            m = int(rng.integers(1, 4))
+            scale = max(1.0, np.abs(data.y).max())
+            for direction in ("lower", "upper"):
+                cfg = SensitivityConfig(gamma=gamma, delta=delta, m=m,
+                                        direction=direction, ks_mode=mode)
+                r = distributional_att_bound(data, cfg)
+                status, est, _ = brute_distributional(
+                    data.control_y, data.treated_y, gamma, delta, m,
+                    mode=mode, direction=direction, backend="highs",
+                )
+                assert r.status == status
+                if status == "infeasible":
+                    infeasible += 1
+                    continue
+                assert r.estimate == pytest.approx(est, abs=1e-7 * scale)
+                _assert_optimal_weights(data, r, cfg)
+        assert 0 < infeasible < 32  # both verdicts exercised
+
+    def test_mean_windows_match_oracle(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(62)
+        for trial in range(16):
+            data = _kernel_dataset(rng, _KERNEL_SHAPES[trial % 4],
+                                   int(rng.integers(10, 24)), int(rng.integers(3, 10)))
+            y0 = data.control_y
+            if trial % 2 == 0:
+                bound, target = did_att_bound, DidTargets.from_dataset(data).target_mean
+            else:
+                treated = data.t == 1
+                bound, target = cic_att_bound, cic_target_cdf(
+                    ecdf(data.y_b[treated]), ecdf(data.y_b[~treated]), ecdf(y0)
+                ).mean()
+            scale = max(1.0, np.abs(data.y).max())
+            eps = float(rng.uniform(0.02, 0.3)) * scale
+            window = (np.vstack([y0, -y0]), np.array([target + eps, eps - target]))
+            gamma, delta = float(rng.uniform(1.5, 4)), float(rng.uniform(0.2, 0.8))
+            for direction in ("lower", "upper"):
+                cfg = SensitivityConfig(gamma=gamma, delta=delta, epsilon=eps, m=2,
+                                        direction=direction)
+                r = bound(data, cfg)
+                status, est, _ = brute_distributional(
+                    y0, data.treated_y, gamma, delta, 2, direction=direction,
+                    backend="highs", extra_ub=window,
+                )
+                assert r.status == status
+                if status == "optimal":
+                    assert r.estimate == pytest.approx(est, abs=1e-7 * scale)
+                    _assert_optimal_weights(data, r, cfg)
+
+    def test_iv_matches_oracle(self):
+        rng = np.random.default_rng(63)
+        for trial in range(8):
+            shape = ("narrow", "ties")[trial % 2]
+            strata_y = {}
+            for t in (0, 1):  # treated strata sit one unit higher
+                y_z0, y_z1 = _kernel_outcomes(rng, shape, 2, 2)
+                strata_y[(t, 0)], strata_y[(t, 1)] = y_z0 + t, y_z1 + t
+            keys = list(strata_y)
+            data = Dataset(
+                y=np.concatenate([strata_y[k] for k in keys]),
+                t=np.repeat([k[0] for k in keys], 2),
+                z=np.repeat([k[1] for k in keys], 2),
+            )
+            gamma, delta = float(rng.uniform(1, 2)), float(rng.uniform(0.3, 1.0))
+            eps = float(rng.uniform(0.1, 2.0))
+            for direction in ("lower", "upper"):
+                cfg = SensitivityConfig(gamma=gamma, delta=delta, epsilon=eps,
+                                        m=2, direction=direction)
+                r = iv_att_bound(data, cfg)
+                status, est = brute_iv(strata_y, gamma, delta, eps, 2,
+                                       direction=direction)
+                assert r.status == status
+                if status == "optimal":
+                    assert r.estimate == pytest.approx(est, abs=1e-8)
+
+    def test_grid_memory_independent_of_shift_count(self):
+        # a dense (2m+1) x (K+1) float array alone would take 190 MB here
+        rng = np.random.default_rng(64)
+        n0, n1 = 60_000, 20_000
+        data = Dataset(
+            y=np.concatenate([rng.normal(0, 1, n0), rng.normal(0.3, 1.2, n1)]),
+            t=np.r_[np.zeros(n0, int), np.ones(n1, int)],
+        )
+        cfg = SensitivityConfig(gamma=2.0, delta=0.05, m=200)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            r = distributional_att_bound(data, cfg)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.status == "optimal"
+        assert peak < 64 * 2**20
+        assert elapsed < 1.0
 
 
 class TestAtc:
@@ -417,6 +586,7 @@ class TestConfigValidation:
             {"delta": -0.1},
             {"epsilon": -1.0},
             {"lambda_tv": -0.2},
+            {"lambda_tv": 1.5},
             {"m": 0},
             {"balance_lambda": -1.0},
             {"balance_epsilon": -0.5},
