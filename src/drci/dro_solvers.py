@@ -2,11 +2,12 @@
 
 The marginal model optimizes a weighted control mean over a box around
 uniform weights and has a closed-form greedy solution.  The total-variation
-model caps the TV distance between the weights and uniform and is solved as
-a linear program.  The distributional model constrains the weighted control
-CDF to match the treated CDF in shape up to a location shift within KS
-distance ``delta``; it is solved exactly by enumerating the shift grid
-(exactly one shift is active) and optimizing the weighted mean per shift.
+model caps the TV distance between the weights and uniform; its optimum
+moves the whole TV budget onto one extreme unit, also in closed form.  The
+distributional model constrains the weighted control CDF to match the
+treated CDF in shape up to a location shift within KS distance ``delta``; it
+is solved exactly by enumerating the shift grid (exactly one shift is
+active) and optimizing the weighted mean per shift.
 
 Per shift, the constraints reduce to interval bounds on the cumulative
 weight at each control atom plus per-atom capacities.  The feasible set of
@@ -24,7 +25,9 @@ in closed form from prefix sums of the capacities and capacity-weighted
 outcomes.  Only the chosen shift's allocation is expanded to the K atoms.
 A grid-mode solve thus costs O(K log K + m L) time and memory, not O(m K).
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
-one LP per shift with band rows at the breakpoints.
+one LP per shift with band rows at the breakpoints.  The balance-free kernel
+on the same bands screens out the shifts with no feasible weights and bounds
+each shift's LP value, so only the shifts that can still win are solved.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
 
 _TOL = 1e-9
 _TIE_TOL = 1e-12
+_LP_ROW_TOL = 1e-8  # row residual lp_core certifies a returned point against
 
 
 @dataclass(frozen=True)
@@ -453,39 +457,31 @@ def _check_direction(direction: str) -> None:
 
 def tv_att_bound(data: Dataset, lambda_tv: float, direction: str = "lower") -> BoundResult:
     """ATT bound over control weights within TV distance ``lambda_tv`` of
-    uniform, via the LP with linearized absolute values."""
+    uniform, in closed form.
+
+    The weighted mean is linear in the mass moved, so the optimum moves the
+    whole budget ``min(lambda_tv, 1 - 1/n0)`` onto one unit with an extreme
+    outcome (the highest for the lower bound, the lowest for the upper) and
+    takes it from the other units, each down to zero, starting from the
+    opposite extreme.  Ties in outcome go to the lowest unit index, so the
+    weights are deterministic.
+    """
     if not 0 <= lambda_tv <= 1:
         raise ValueError("lambda_tv must be in [0, 1]")
     _check_direction(direction)
     y0 = data.control_y
     n0 = y0.size
     u = 1.0 / n0
-    n_vars = 2 * n0  # weights then their absolute deviations from uniform
-    c = np.concatenate([y0, np.zeros(n0)])
-    eye = np.eye(n0)
-    a_ub = np.vstack(
-        [
-            np.hstack([eye, -eye]),      # w - t <= u
-            np.hstack([-eye, -eye]),     # -w - t <= -u
-            np.concatenate([np.zeros(n0), np.full(n0, 0.5)])[None, :],
-        ]
-    )
-    b_ub = np.concatenate([np.full(n0, u), np.full(n0, -u), [lambda_tv]])
-    a_eq = np.concatenate([np.ones(n0), np.zeros(n0)])[None, :]
-    problem = LpProblem(
-        c=c,
-        sense="max" if direction == "lower" else "min",
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=[1.0],
-        lower=np.zeros(n_vars),
-        upper=np.ones(n_vars),
-    )
-    sol = solve_lp(problem)
-    if sol.status != "optimal":  # cannot happen: uniform weights are feasible
-        raise RuntimeError(f"TV LP unexpectedly {sol.status}")
-    w = sol.x[:n0]
+    # donors first to last; the best unit (lowest index among ties) receives
+    key = y0 if direction == "lower" else -y0
+    order = np.lexsort((np.arange(n0), key))
+    receiver = order[np.searchsorted(key[order], key[order[-1]])]
+    donors = order[order != receiver]
+    moved = min(lambda_tv, 1.0 - u)
+    take = np.minimum(u, np.maximum(0.0, moved - u * np.arange(n0 - 1)))
+    w = np.full(n0, u)
+    w[donors] -= take
+    w[receiver] += take.sum()
     treated_mean = float(data.treated_y.mean())
     return _optimal_result(data, direction, w, float(w @ y0), treated_mean, None)
 
@@ -551,36 +547,56 @@ def _distributional_lp_route(
     warnings: tuple[str, ...],
 ) -> BoundResult:
     """Shift enumeration with per-shift LPs; needed once covariate-balance
-    terms couple the objective across atoms."""
+    terms couple the objective across atoms.
+
+    The balance terms only add rows or a nonnegative penalty, so the
+    balance-free kernel on the same bands screens and bounds the LPs.  The
+    bands are widened by the LP's row tolerance first, so that the kernel
+    relaxes every point the LP can certify: a shift the kernel finds
+    infeasible has no LP solution, and its extreme weighted mean bounds the
+    shift's LP value.  Shifts are solved best bound first until no bound
+    left can reach the incumbent; the selection key (value, |c|, c) is
+    unchanged, so the result is the one a solve of every shift gives.
+    """
     y0 = data.control_y
     n0 = y0.size
     ctrl = _ControlAtoms.build(y0, config.gamma / n0)
     target = ecdf(data.treated_y)
     grid = shift_grid(data.y, config.m)
 
-    bal = balance_terms(data, config.balance_lambda) if config.wants_balance else None
+    bal = balance_terms(data, config.balance_lambda)
     maximize = config.direction == "lower"
     bands = _bands(ctrl, target, grid, config.ks_mode)
     lo, hi = bands.at(config.delta)
+    feasible, c_least, c_great = _breakpoint_extremes(
+        lo - _LP_ROW_TOL, hi + _LP_ROW_TOL, ctrl.cum_caps[bands.cols]
+    )
+    # the LP has no row for column 0; both pinned columns keep the kernel's tolerance
+    feasible &= (lo[:, 0] <= _TOL) & (hi[:, -1] >= 1 - _TOL) & (lo[:, -1] <= 1 + _TOL)
+    # bounds on the first component of each shift's key (smaller is better)
+    if maximize:
+        bound = -_bucket_means(ctrl, bands.cols, c_least, from_top=True)
+    else:
+        bound = _bucket_means(ctrl, bands.cols, c_great, from_top=False)
+    slack = 1e-9 * (1.0 + float(np.abs(y0).max()))
+    shifts = grid.shifts
+    cand = np.flatnonzero(feasible)
+    cand = cand[np.lexsort((shifts[cand], np.abs(shifts[cand]), bound[cand]))]
 
-    best = None  # (penalized value, |shift|, shift, w, raw value)
-    for j, c_shift in enumerate(grid.shifts):
-        if lo[j, 0] > _TOL or hi[j, -1] < 1 - _TOL or lo[j, -1] > 1 + _TOL:
-            continue
+    best = None  # (key, w, raw value, shift)
+    for j in cand:
+        if best is not None and bound[j] > best[0][0] + slack:
+            break
         sol = _solve_balance_lp(
             data, config, bal, bands.cols, lo[j], hi[j], ctrl, mean_window
         )
         if sol is None:
             continue
         penalized, w = sol
-        raw = float(w @ y0)
-        key = (
-            -penalized if maximize else penalized,
-            abs(c_shift),
-            c_shift,
-        )
+        c_shift = float(shifts[j])
+        key = (-penalized if maximize else penalized, abs(c_shift), c_shift)
         if best is None or key < best[0]:
-            best = (key, w, raw, float(c_shift))
+            best = (key, w, float(w @ y0), c_shift)
     if best is None:
         return _infeasible(config.direction, treated_mean, warnings)
     _, w, raw, c_shift = best
@@ -593,11 +609,11 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
     """One per-shift LP over [control weights, balance slacks]."""
     y0 = data.control_y
     n0 = y0.size
-    n_aux = bal.n_covariates if bal is not None else 0
+    n_aux = bal.n_covariates
     maximize = config.direction == "lower"
 
     c = np.concatenate([y0, np.zeros(n_aux)])
-    if bal is not None and bal.lam > 0 and config.balance_epsilon is None:
+    if bal.lam > 0 and config.balance_epsilon is None:
         # penalty always degrades the optimum
         c[n0:] = -bal.lam if maximize else bal.lam
 
@@ -614,24 +630,23 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
             rows_a.append(-row)
             rows_b.append(-lo_q)
     s_caps = np.zeros(n_aux)
-    if bal is not None:
-        for j in range(bal.n_covariates):
-            xj = bal.control_x[:, j]
-            s = np.zeros(n_aux)
-            s[j] = -1.0
-            rows_a.append(np.concatenate([xj, s]))
-            rows_b.append(bal.treated_means[j])
-            rows_a.append(np.concatenate([-xj, s]))
-            rows_b.append(-bal.treated_means[j])
-            # slack never needs to exceed the worst attainable imbalance;
-            # a finite cap keeps the tableau well scaled
-            s_caps[j] = max(
-                abs(bal.treated_means[j] - xj.min()),
-                abs(bal.treated_means[j] - xj.max()),
-            ) + 1.0
-        if config.balance_epsilon is not None and math.isfinite(config.balance_epsilon):
-            rows_a.append(np.concatenate([np.zeros(n0), np.ones(n_aux)]))
-            rows_b.append(config.balance_epsilon)
+    for j in range(n_aux):
+        xj = bal.control_x[:, j]
+        s = np.zeros(n_aux)
+        s[j] = -1.0
+        rows_a.append(np.concatenate([xj, s]))
+        rows_b.append(bal.treated_means[j])
+        rows_a.append(np.concatenate([-xj, s]))
+        rows_b.append(-bal.treated_means[j])
+        # slack never needs to exceed the worst attainable imbalance;
+        # a finite cap keeps the tableau well scaled
+        s_caps[j] = max(
+            abs(bal.treated_means[j] - xj.min()),
+            abs(bal.treated_means[j] - xj.max()),
+        ) + 1.0
+    if config.balance_epsilon is not None and math.isfinite(config.balance_epsilon):
+        rows_a.append(np.concatenate([np.zeros(n0), np.ones(n_aux)]))
+        rows_b.append(config.balance_epsilon)
     if mean_window is not None:
         wlo, whi = mean_window
         if math.isfinite(whi):

@@ -110,14 +110,17 @@ class _Tableau:
         x[self.basis] = self.xb
         return x
 
-    def pivot(self, row: int, col: int) -> None:
+    def degenerate_pivot(self, row: int, col: int) -> None:
+        """Swap nonbasic ``col`` into the basis for the zero-valued basic
+        variable of ``row``.  No value moves: ``col`` keeps its nonbasic
+        value (possibly its upper bound) and every other row keeps its own."""
         piv = self.t[row, col]
         self.t[row] /= piv
-        self.xb[row] /= piv
         factors = self.t[:, col].copy()
         factors[row] = 0.0
         self.t -= np.outer(factors, self.t[row])
-        self.xb -= factors * self.xb[row]
+        self.xb[row] = self.nonbasic_value(col)
+        self.at_upper[col] = False
         self.basis[row] = col
 
     def run(self, cost: np.ndarray, max_iter: int) -> str:
@@ -258,7 +261,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for r in np.flatnonzero(artificial):
         pivots = np.flatnonzero(np.abs(tab.t[r, :n_cols]) > 1e-9)
         if pivots.size:
-            tab.pivot(r, int(pivots[0]))
+            tab.degenerate_pivot(r, int(pivots[0]))
         else:
             keep_rows[r] = False
     if not keep_rows.all():

@@ -2,9 +2,9 @@
 
 Nothing here shares code with the package solvers: LPs are solved by
 enumerating candidate vertices (every choice of n active constraints) or by
-scipy's HiGHS, the marginal box-simplex by enumerating its vertex patterns,
-and the distributional model by exhausting the one-active-shift binary
-patterns with raw (unconsolidated) constraint rows.
+scipy's HiGHS (:func:`highs_solve`), the marginal box-simplex by enumerating
+its vertex patterns, and the distributional model by exhausting the
+one-active-shift binary patterns with raw (unconsolidated) constraint rows.
 """
 
 from __future__ import annotations
@@ -79,6 +79,32 @@ def vertex_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     if best_val is None:
         return "infeasible", None, None
     return "optimal", best_val, best_x
+
+
+def highs_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                lower=None, upper=None, sense="min"):
+    """The same LP by scipy's HiGHS.  Returns (status, value, x) like
+    :func:`vertex_solve`; for problems too large to enumerate."""
+    from scipy.optimize import linprog
+
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    res = linprog(
+        -c if sense == "max" else c,
+        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                for lo, hi in zip(lower, upper)],
+        method="highs",
+    )
+    if res.status == 2:
+        return "infeasible", None, None
+    if res.status == 3:
+        return "unbounded", None, None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return "optimal", float(c @ res.x), res.x
 
 
 def box_simplex_extreme(y, lo, hi, maximize=True):

@@ -182,13 +182,15 @@ class TestMain:
         code = main(["att", "--input", "/nonexistent.csv"])
         assert code == 1
 
-    def test_lp_failure_exit_one(self, fixture_csv, capsys, monkeypatch):
+    def test_lp_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         def failing_solve_lp(problem):
             raise RuntimeError("simplex iteration limit exceeded")
 
+        path = tmp_path / "cov.csv"
+        path.write_text("y,t,x1\n0,0,0\n1,0,1\n2,0,2\n2,1,1\n3,1,2\n")
         monkeypatch.setattr(drci.dro_solvers, "solve_lp", failing_solve_lp)
-        code = main(["att", "--input", fixture_csv, "--model", "tv",
-                     "--lambda-tv", "0.2"])
+        code = main(["att", "--input", str(path), "--model", "distributional",
+                     "--balance-lambda", "0.5", "--m", "2"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == "error: simplex iteration limit exceeded\n"

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import drci.dro_solvers as ds
 from drci.distributions import Dataset, cic_target_cdf, ecdf, shift_grid
 from drci.dro_solvers import (
     SensitivityConfig,
@@ -23,6 +24,7 @@ from oracles import (
     box_simplex_extreme,
     brute_distributional,
     brute_iv,
+    highs_solve,
     raw_shift_rows,
     vertex_solve,
 )
@@ -109,21 +111,8 @@ class TestTv:
     def test_third_radius_against_lp_oracle(self):
         # optimal play moves 1/3 of mass from the lowest atom to the top one
         r = tv_att_bound(FIVE_UNITS, 1 / 3, "lower")
-        n0 = 3
-        eye = np.eye(n0)
-        status, val, _ = vertex_solve(
-            np.concatenate([np.array([0.0, 1.0, 2.0]), np.zeros(n0)]),
-            a_ub=np.vstack([
-                np.hstack([eye, -eye]),
-                np.hstack([-eye, -eye]),
-                np.concatenate([np.zeros(n0), np.full(n0, 0.5)])[None, :],
-            ]),
-            b_ub=np.concatenate([np.full(n0, 1 / 3), np.full(n0, -1 / 3), [1 / 3]]),
-            a_eq=np.concatenate([np.ones(n0), np.zeros(n0)])[None, :],
-            b_eq=[1.0],
-            lower=np.zeros(2 * n0), upper=np.ones(2 * n0),
-            sense="max",
-        )
+        status, val, _ = vertex_solve(**_tv_lp(np.array([0.0, 1.0, 2.0]), 1 / 3),
+                                      sense="max")
         assert status == "optimal"
         assert val == pytest.approx(5 / 3, abs=1e-9)
         assert r.counterfactual_mean == pytest.approx(val, abs=1e-9)
@@ -132,6 +121,75 @@ class TestTv:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             tv_att_bound(FIVE_UNITS, 1.2, "lower")
+
+    @staticmethod
+    def _radii(rng, n0):
+        return (0.0, float(rng.uniform()), 1.0 - 1.0 / n0, 1.0)
+
+    def test_closed_form_matches_lp_oracle(self):
+        rng = np.random.default_rng(28)
+        for _ in range(40):
+            n0, n1 = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+            # few distinct values: many tied outcomes, also at the extremes
+            y = rng.integers(-3, 4, n0 + n1) * float(rng.choice([1e-3, 1.0, 1e4]))
+            data = Dataset(y=y, t=rng.permutation(np.r_[np.zeros(n0), np.ones(n1)]))
+            y0 = data.control_y
+            for lam in self._radii(rng, n0):
+                for direction, sense in (("lower", "max"), ("upper", "min")):
+                    r = tv_att_bound(data, lam, direction)
+                    status, val, _ = highs_solve(**_tv_lp(y0, lam), sense=sense)
+                    assert status == "optimal"
+                    scale = 1.0 + np.abs(y0).max()
+                    assert r.counterfactual_mean == pytest.approx(val, abs=1e-9 * scale)
+                    w = _assert_in_tv_ball(r.weights, data.control_indices, lam)
+                    assert r.counterfactual_mean == pytest.approx(w @ y0, abs=1e-12 * scale)
+                    assert r.estimate == r.treated_mean - r.counterfactual_mean
+
+    def test_atc_matches_lp_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n0, n1 = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            y = np.round(rng.normal(size=n0 + n1), 1)
+            data = Dataset(y=y, t=rng.permutation(np.r_[np.zeros(n0), np.ones(n1)]))
+            y1 = data.treated_y
+            for lam in self._radii(rng, n1):
+                # ATC lower: least reweighted treated mean minus control mean
+                for direction, sense in (("lower", "min"), ("upper", "max")):
+                    cfg = SensitivityConfig(lambda_tv=lam, direction=direction)
+                    r = atc_bound(data, "tv", cfg)
+                    status, val, _ = highs_solve(**_tv_lp(y1, lam), sense=sense)
+                    assert status == "optimal"
+                    assert r.estimate == pytest.approx(
+                        val - data.control_y.mean(), abs=1e-9 * (1 + np.abs(y).max()))
+                    treated_idx = np.flatnonzero(data.t == 1)
+                    _assert_in_tv_ball(r.weights, treated_idx, lam)
+
+
+def _tv_lp(y0, lam):
+    """The TV bound as an LP over [weights, |weight - 1/n0|]."""
+    n0 = y0.size
+    eye = np.eye(n0)
+    return dict(
+        c=np.concatenate([y0, np.zeros(n0)]),
+        a_ub=np.vstack([
+            np.hstack([eye, -eye]),
+            np.hstack([-eye, -eye]),
+            np.concatenate([np.zeros(n0), np.full(n0, 0.5)])[None, :],
+        ]),
+        b_ub=np.concatenate([np.full(n0, 1 / n0), np.full(n0, -1 / n0), [lam]]),
+        a_eq=np.concatenate([np.ones(n0), np.zeros(n0)])[None, :],
+        b_eq=[1.0],
+        lower=np.zeros(2 * n0), upper=np.ones(2 * n0),
+    )
+
+
+def _assert_in_tv_ball(weights, units, lam):
+    assert sorted(weights) == sorted(int(i) for i in units)
+    w = np.array([weights[int(i)] for i in units])
+    assert np.all(w >= 0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert 0.5 * np.abs(w - 1 / w.size).sum() <= lam + 1e-12
+    return w
 
 
 class TestDistributional:
@@ -486,6 +544,126 @@ class TestBalance:
             balance_terms(data, -1.0)
         with pytest.raises(ValueError):
             balance_terms(FIVE_UNITS, 1.0)
+
+
+def _balance_sample(seed, n=200, n1=80):
+    """Three covariates that confound treatment, and baseline outcomes."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, 3)), 6)
+    t = np.zeros(n, dtype=int)
+    t[np.argsort(-(0.5 * x[:, 0] + rng.gumbel(size=n)))[:n1]] = 1
+    y = np.round(x @ np.array([1.0, 0.5, -0.5]) + 0.5 * t + rng.normal(size=n), 6)
+    y_b = np.round(y - 0.5 * t + rng.normal(0.0, 0.5, n), 6)
+    return Dataset(y=y, t=t, x=x, y_b=y_b)
+
+
+def _every_shift_route(data, cfg, window):
+    """The balance route without screen or pruning: one LP per shift whose
+    pinned columns allow weights, best (value, |c|, c) key wins.  Returns
+    the winner ``(w, shift)`` or None, and the LP verdict per solved shift."""
+    y0 = data.control_y
+    ctrl = ds._ControlAtoms.build(y0, cfg.gamma / y0.size)
+    grid = shift_grid(data.y, cfg.m)
+    bands = ds._bands(ctrl, ecdf(data.treated_y), grid, cfg.ks_mode)
+    lo, hi = bands.at(cfg.delta)
+    bal = balance_terms(data, cfg.balance_lambda)
+    best, solved = None, {}
+    for j, c in enumerate(grid.shifts):
+        if lo[j, 0] > 1e-9 or hi[j, -1] < 1 - 1e-9 or lo[j, -1] > 1 + 1e-9:
+            continue
+        sol = ds._solve_balance_lp(data, cfg, bal, bands.cols, lo[j], hi[j], ctrl, window)
+        solved[j] = sol is not None
+        if sol is None:
+            continue
+        penalized, w = sol
+        key = (-penalized if cfg.direction == "lower" else penalized, abs(c), c)
+        if best is None or key < best[0]:
+            best = (key, w, float(c))
+    return (None if best is None else best[1:]), solved
+
+
+def _widened_screen(data, cfg):
+    """Per shift: does the balance-free kernel find weights with the band
+    widened by the LP's 1e-8 row tolerance?  Also the band rows per shift."""
+    y0 = data.control_y
+    ctrl = ds._ControlAtoms.build(y0, cfg.gamma / y0.size)
+    bands = ds._bands(ctrl, ecdf(data.treated_y), shift_grid(data.y, cfg.m), cfg.ks_mode)
+    lo, hi = bands.at(cfg.delta)
+    wide = ds._breakpoint_extremes(lo - 1e-8, hi + 1e-8, ctrl.cum_caps[bands.cols])[0]
+    return wide, lo, hi
+
+
+class TestBalanceRouteWork:
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        real = ds.solve_lp
+
+        def counting(problem):
+            calls.append(problem)
+            return real(problem)
+
+        monkeypatch.setattr(ds, "solve_lp", counting)
+        return calls
+
+    def test_tv_solves_no_lp(self, lp_calls):
+        data = _balance_sample(30)
+        for direction in ("lower", "upper"):
+            tv_att_bound(data, 0.1, direction)
+            atc_bound(data, "tv", SensitivityConfig(lambda_tv=0.1, direction=direction))
+        assert lp_calls == []
+
+    @pytest.mark.parametrize("form,direction,did,ks_mode", [
+        ({"balance_lambda": 0.5}, "lower", False, "grid"),
+        ({"balance_lambda": 0.5}, "upper", False, "grid"),
+        ({"balance_epsilon": 0.2}, "lower", False, "grid"),
+        ({"balance_epsilon": 0.2}, "upper", False, "grid"),
+        ({"balance_lambda": 0.5}, "lower", True, "grid"),
+        ({"balance_epsilon": 0.2}, "upper", True, "grid"),
+        ({"balance_lambda": 0.5}, "upper", False, "exact_atoms"),
+    ])
+    def test_pruned_route_matches_every_shift_solve(self, lp_calls, monkeypatch,
+                                                    form, direction, did, ks_mode):
+        data = _balance_sample(31)
+        cfg = SensitivityConfig(gamma=2.0, delta=0.1, m=20, direction=direction,
+                                epsilon=0.05 if did else math.inf, ks_mode=ks_mode,
+                                **form)
+        window = None
+        if did:
+            target = DidTargets.from_dataset(data).target_mean
+            window = (target - cfg.epsilon, target + cfg.epsilon)
+        built = []
+        real_build = ds._solve_balance_lp
+
+        def recording(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+            built.append((lo_row.copy(), hi_row.copy()))
+            return real_build(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window)
+
+        monkeypatch.setattr(ds, "_solve_balance_lp", recording)
+        r = did_att_bound(data, cfg) if did else distributional_att_bound(data, cfg)
+        n_route = len(lp_calls)
+        monkeypatch.setattr(ds, "_solve_balance_lp", real_build)
+        best, solved = _every_shift_route(data, cfg, window)
+
+        # no LP for a shift the widened screen rejects; each such LP is
+        # infeasible indeed
+        wide, lo, hi = _widened_screen(data, cfg)
+        assert n_route == len(built) < len(solved)
+        for lo_row, hi_row in built:
+            rows = np.flatnonzero((lo == lo_row).all(axis=1) & (hi == hi_row).all(axis=1))
+            assert rows.size and wide[rows].all()
+        assert not any(ok for j, ok in solved.items() if not wide[j])
+
+        if best is None:
+            assert r.status == "infeasible"
+            return
+        w, shift = best
+        raw = float(w @ data.control_y)
+        assert r.status == "optimal"
+        assert r.active_shift == shift
+        assert r.counterfactual_mean == raw
+        assert r.estimate == float(data.treated_y.mean()) - raw
+        assert r.weights == {int(i): float(wi) for i, wi in zip(data.control_indices, w)}
 
 
 class TestConditionalSe:

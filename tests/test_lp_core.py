@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import drci.dro_solvers
+from drci.distributions import Dataset
+from drci.dro_solvers import SensitivityConfig, distributional_att_bound
 from drci.lp_core import LpProblem, LpSolution, solve_lp
 
-from oracles import vertex_solve
+from oracles import highs_solve, vertex_solve
 
 
 class TestExamples:
@@ -164,6 +167,72 @@ class TestDeterminism:
             assert sol2.x == pytest.approx(sol.x, abs=1e-9)
             scaled_checked += 1
         assert scaled_checked > 10
+
+
+def _assert_matches_highs(prob):
+    sol = solve_lp(prob)
+    status, val, _ = highs_solve(
+        prob.c, prob.a_ub, prob.b_ub, prob.a_eq, prob.b_eq,
+        prob.lower, prob.upper, sense=prob.sense,
+    )
+    assert sol.status == status
+    if status == "optimal":
+        scale = 1.0 + np.abs(prob.c).max()
+        assert sol.objective_value == pytest.approx(val, abs=1e-9 * scale)
+    return sol
+
+
+def _balance_sample(seed, instance):
+    """The covariate-balance sample (n = 200, three covariates) of the
+    benchmark's lp_routes workload: ``perfbench/inputs.lp_samples``."""
+    rng = np.random.default_rng([seed, 3, instance])
+    for n, n1 in ((400, 150), (200, 80)):  # the TV sample is drawn first
+        x = np.round(rng.normal(size=(n, 3)), 6)
+        key = 0.5 * x[:, 0] + rng.gumbel(size=n)
+        t = np.zeros(n, dtype=np.int64)
+        t[np.argsort(-key, kind="stable")[:n1]] = 1
+        y = np.round(x @ np.array([1.0, 0.5, -0.5]) + 0.5 * t
+                     + rng.normal(size=n), 6)
+    return Dataset(y=y, t=t, x=x)
+
+
+class TestPhaseOneExit:
+    """After phase 1 an artificial still basic at zero is pivoted out; the
+    entering column must keep its nonbasic value, also at its upper bound."""
+
+    def test_artificial_leaves_onto_at_upper_column(self):
+        # phase 1 flips x0 to its upper bound 1, leaving the artificial of
+        # the row basic at zero; x0 then enters at 1, not at 0
+        prob = LpProblem(c=[1.0, -1.0], a_eq=[[1.0, 0.0]], b_eq=[1.0],
+                         lower=[0.0, 0.0], upper=[1.0, 1.0])
+        sol = _assert_matches_highs(prob)
+        assert sol.x.tolist() == [1.0, 1.0]
+        assert sol.objective_value == 0.0
+
+    def test_at_upper_exit_with_other_rows(self):
+        prob = LpProblem(c=[-1.0, -2.0, 1.0], sense="min",
+                         a_ub=[[1.0, 1.0, 1.0]], b_ub=[3.0],
+                         a_eq=[[2.0, 0.0, 0.0], [0.0, 1.0, -1.0]],
+                         b_eq=[4.0, 1.0],
+                         lower=[0.0, 0.0, 0.0], upper=[2.0, 2.0, 2.0])
+        sol = _assert_matches_highs(prob)
+        assert sol.x == pytest.approx([2.0, 1.0, 0.0], abs=1e-12)
+
+    def test_benchmark_balance_lps(self, monkeypatch):
+        # lp_routes seed 0, sample 3: the per-shift LP at shift 0 used to
+        # end phase 1 on an at-upper exit, return an infeasible point and raise
+        problems = []
+
+        def record(problem):
+            problems.append(problem)
+            return LpSolution(status="infeasible")  # no incumbent: nothing is pruned
+
+        monkeypatch.setattr(drci.dro_solvers, "solve_lp", record)
+        distributional_att_bound(_balance_sample(0, 3), SensitivityConfig(
+            gamma=2.0, delta=0.1, m=20, balance_lambda=0.5))
+        assert problems
+        for prob in problems:
+            assert _assert_matches_highs(prob).status == "optimal"
 
 
 def test_solution_dataclass_defaults():
