@@ -20,7 +20,8 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -141,7 +142,18 @@ class Report:
     warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
+        """``json.dumps(asdict(self), indent=2, sort_keys=True,
+        allow_nan=False)``, byte for byte; the weights (floats) are written
+        apart."""
+        head = {f.name: getattr(self, f.name) for f in fields(self)}
+        weights, head["weights"] = head["weights"], None
+        text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
+        if weights is None:
+            return text
+        # json escapes newlines in strings and indents nested keys deeper,
+        # so only the top-level key matches
+        return text.replace('\n  "weights": null',
+                            '\n  "weights": ' + _weights_json(weights), 1)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -150,15 +162,90 @@ class Report:
         return cls(**raw)
 
 
+def _weights_json(weights: dict[str, float]) -> str:
+    """The weights object as an ``indent=2`` dump writes it one level deep:
+    keys sorted, each value as ``float.__repr__`` writes it.  Weights take
+    few distinct values, so each distinct value is formatted once."""
+    if not weights:
+        return "{}"
+    keys = sorted(weights)
+    values = np.array([weights[k] for k in keys], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    # distinct bit patterns, so that -0.0 keeps its sign
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()],
+                     dtype=object)[inverse]
+    items = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
+    return "{\n    " + ",\n    ".join(items) + "\n  }"
+
+
 def load_csv(path: str, columns: ColumnMap | None = None) -> Dataset:
     """Parse a UTF-8 CSV with a header row into a Dataset.
 
     Bad rows are reported by 1-based data-row number; the treatment column
     must be exactly 0 or 1.  Covariates are every column starting with the
-    covariate prefix (natural-ordered when the suffixes are numeric).
+    covariate prefix (natural-ordered when the suffixes are numeric).  A
+    leading byte-order mark is ignored.
+
+    The needed columns are parsed in one ``np.loadtxt`` call.  A file that
+    read does not take as is (quoted fields, a bad or non-binary value, a
+    missing column, no data rows) is parsed again row by row, which accepts
+    everything ``float()`` does and names the bad rows.
     """
     columns = columns or ColumnMap()
-    with open(path, newline="", encoding="utf-8") as fh:
+    data = _load_columnar(path, columns)
+    return data if data is not None else _load_rows(path, columns)
+
+
+def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
+    """The columnar read; ``None`` for any file the row parser must see."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except (UnicodeDecodeError, csv.Error):  # reported by the row parser
+        return None
+    if header is None or not body.strip() or '"' in body:
+        return None
+    # the row parser's csv module refuses fields over its size limit
+    limit = csv.field_size_limit()
+    if len(body) > limit and _longest_line(body) > limit:
+        return None
+    cov_cols = _covariate_columns(header, columns)
+    wanted = [c for c in (columns.outcome, columns.treatment, columns.baseline,
+                          columns.instrument) if c is not None] + cov_cols
+    # a repeated name reads its last column, as csv.DictReader does
+    index = {name: i for i, name in enumerate(header)}
+    if any(c not in index for c in wanted):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                           usecols=[index[c] for c in wanted], ndmin=2)
+    except ValueError:
+        return None
+
+    def column(name):
+        return None if name is None else table[:, wanted.index(name)].copy()
+
+    t, z = column(columns.treatment), column(columns.instrument)
+    if not all(np.isin(b, (0.0, 1.0)).all() for b in (t, z) if b is not None):
+        return None
+    x = table[:, len(wanted) - len(cov_cols):].copy() if cov_cols else None
+    return Dataset(y=column(columns.outcome), t=t, y_b=column(columns.baseline),
+                   z=z, x=x)
+
+
+def _longest_line(text: str) -> int:
+    """Length of the longest line in UTF-8 bytes (at least its characters)."""
+    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+    ends = np.concatenate(([-1], np.flatnonzero(raw == ord("\n")), [raw.size]))
+    return int(np.diff(ends).max()) - 1
+
+
+def _load_rows(path: str, columns: ColumnMap) -> Dataset:
+    """The row parser: ``csv.DictReader`` and ``float()`` per cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError("input CSV is empty")
@@ -336,6 +423,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -477,7 +568,8 @@ def main(argv=None) -> int:
         report = run(config)
         _emit(config, report.to_json())
         return 0 if report.status == "optimal" else 2
-    except (ValueError, TypeError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RuntimeError,
+            csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

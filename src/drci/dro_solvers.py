@@ -553,8 +553,9 @@ def _distributional_lp_route(
     balance-free kernel on the same bands screens and bounds the LPs.  The
     bands are widened by the LP's row tolerance first, so that the kernel
     relaxes every point the LP can certify: a shift the kernel finds
-    infeasible has no LP solution, and its extreme weighted mean bounds the
-    shift's LP value.  Shifts are solved best bound first until no bound
+    infeasible, or whose weighted-mean range misses the DiD/CIC mean window,
+    has no LP solution, and its extreme weighted mean bounds the shift's LP
+    value.  Shifts are solved best bound first until no bound
     left can reach the incumbent; the selection key (value, |c|, c) is
     unchanged, so the result is the one a solve of every shift gives.
     """
@@ -573,12 +574,17 @@ def _distributional_lp_route(
     )
     # the LP has no row for column 0; both pinned columns keep the kernel's tolerance
     feasible &= (lo[:, 0] <= _TOL) & (hi[:, -1] >= 1 - _TOL) & (lo[:, -1] <= 1 + _TOL)
+    obj_max = _bucket_means(ctrl, bands.cols, c_least, from_top=True)
+    obj_min = _bucket_means(ctrl, bands.cols, c_great, from_top=False)
+    scale = 1.0 + float(np.abs(y0).max())
+    slack = 1e-9 * scale
+    if mean_window is not None:
+        # the LP certifies its window and total-mass rows to the row tolerance
+        wlo, whi = mean_window
+        reach = _LP_ROW_TOL * scale + slack
+        feasible &= (obj_max >= wlo - reach) & (obj_min <= whi + reach)
     # bounds on the first component of each shift's key (smaller is better)
-    if maximize:
-        bound = -_bucket_means(ctrl, bands.cols, c_least, from_top=True)
-    else:
-        bound = _bucket_means(ctrl, bands.cols, c_great, from_top=False)
-    slack = 1e-9 * (1.0 + float(np.abs(y0).max()))
+    bound = -obj_max if maximize else obj_min
     shifts = grid.shifts
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((shifts[cand], np.abs(shifts[cand]), bound[cand]))]

@@ -1,10 +1,15 @@
+import csv
 import json
-from dataclasses import replace
+import os
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import drci.dro_solvers
+from drci import cli_io
 from drci.cli_io import ColumnMap, Report, RunConfig, load_csv, main, run, sweep
 from drci.dro_solvers import minimal_achievable_ks
 
@@ -63,11 +68,104 @@ class TestLoadCsv:
         data = load_csv(str(path))
         assert data.x[0].tolist() == [7.0, 9.0, 8.0]  # x1, x2, x10
 
+    def test_byte_order_mark(self, tmp_path):
+        text = "y,t,x1\n1.5,1,2\n2.5,0,3\n0.5,0,4\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_csv(str(plain)), load_csv(str(marked))
+        for name in ("y", "t", "x"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
     def test_empty_arm(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,t\n1,1\n2,1\n")
         with pytest.raises(ValueError, match="arms"):
             load_csv(str(path))
+
+
+def _parsed(loader, path, columns):
+    """Every Dataset array as (dtype, shape, bytes), or the error raised."""
+    try:
+        data = loader(path, columns)
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    arrays = {f: getattr(data, f) for f in ("y", "t", "y_b", "z", "x")}
+    return {f: None if a is None else (a.dtype.str, a.shape, a.tobytes())
+            for f, a in arrays.items()}
+
+
+_LONG_NUMBER = "0" * 200_000 + "1"
+
+# (id, file text, columns, whether the columnar read takes the file)
+EDGE_FILES = [
+    ("plain", "y,t\n1.5,0\n2,1\n", None, True),
+    ("crlf", "y,t\r\n1.5,0\r\n2,1\r\n", None, True),
+    ("lone_cr", "y,t\r1.5,0\r2,1\r", None, False),
+    ("blank_lines", "y,t\n1,0\n\n2,1\n\n", None, True),
+    ("whitespace_line", "y,t\n1,0\n   \n2,1\n", None, False),
+    ("trailing_comma", "y,t,\n1,0,\n2,1,\n", None, True),
+    ("long_row", "y,t\n1,0,9,9\n2,1\n", None, True),
+    ("short_row", "y,t,x1\n1,0,3\n2,1\n", None, False),
+    ("hash", "y,t\n1,0\n#2,1\n", None, False),
+    ("quoted", 'y,t,name\n1,0,"Smith, John"\n"2",1,"a"\n', None, False),
+    ("quoted_before", 'name,y,t\n"a,5,1,b",0,1\n"c",2,0\n', None, False),
+    ("whitespace", "y,t\n 1.5 ,\t0\n2 , 1 \n", None, True),
+    ("nbsp", "y,t\n\xa01.5,0\n2,1\n", None, True),
+    ("nonbinary_t", "y,t\n1,0\n2,2\n3,1\n", None, False),
+    ("nonbinary_z", "y,t,z\n1,0,0\n2,1,3\n3,1,1\n", ColumnMap(instrument="z"), False),
+    ("one_row", "y,t\n1,0\n", None, True),
+    ("no_rows", "y,t\n", None, False),
+    ("blank_body", "y,t\n\n\n", None, False),
+    ("empty_file", "", None, False),
+    ("nan", "y,t\nnan,0\n2,1\n", None, True),
+    ("inf", "y,t\n1,0\n-Infinity,1\n", None, True),
+    ("bom", "\ufeffy,t\n1,0\n2,1\n", None, True),
+    ("underscore", "y,t\n1_000,0\n2,1\n", None, False),
+    ("arabic_digit", "y,t\n\u0661,0\n2,1\n", None, False),
+    ("negative_zero", "y,t\n-0,0\n2,-0\n3,1\n", None, True),
+    ("subnormal", "y,t\n4.9e-324,0\n2.2250738585072014e-308,1\n1e-320,0\n", None, True),
+    ("empty_field", "y,t\n1,\n2,1\n", None, False),
+    ("missing_column", "y,t\n1,0\n2,1\n", ColumnMap(baseline="pre"), False),
+    ("repeated_name", "y,t,y\n1,0,5\n2,1,6\n", None, True),
+    ("all_columns", "y,t,y_b,x10,x2,z\n1,0,0.5,7,8,1\n2,1,0.25,9,1e3,0\n",
+     ColumnMap(baseline="y_b", instrument="z"), True),
+    ("long_number", f"y,t\n{_LONG_NUMBER},0\n2,1\n", None, False),
+    # past the first 8 KiB read, where the two reads would place it apart
+    ("bad_utf8", b"y,t\n" + b"1,0\n2,1\n" * 3000 + b"\xff,1\n", None, False),
+]
+
+
+class TestColumnarRead:
+    @pytest.mark.parametrize("text,columns,columnar",
+                             [case[1:] for case in EDGE_FILES],
+                             ids=[case[0] for case in EDGE_FILES])
+    def test_matches_row_parser(self, tmp_path, text, columns, columnar):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        columns = columns or ColumnMap()
+        assert _parsed(load_csv, str(path), columns) == \
+            _parsed(cli_io._load_rows, str(path), columns)
+        try:
+            taken = cli_io._load_columnar(str(path), columns) is not None
+        except ValueError:  # parsed, then refused by the Dataset checks
+            taken = True
+        assert taken == columnar
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300),
+                           min_size=2, max_size=30),
+           fmt=st.sampled_from(["{!r}", "{:.17g}", "{:.6g}", "{:.12e}",
+                                "{:+.3E}", "{:.20f}"]))
+    def test_floats_bit_identical(self, tmp_path_factory, values, fmt):
+        path = tmp_path_factory.mktemp("floats") / "d.csv"
+        texts = [fmt.format(v) for v in values]
+        rows = [f"{v},{i % 2}" for i, v in enumerate(texts)]
+        path.write_text("y,t\n" + "\n".join(rows) + "\n")
+        data = cli_io._load_columnar(str(path), ColumnMap())
+        expected = np.array([float(v) for v in texts])
+        assert data.y.tobytes() == expected.tobytes()
 
 
 class TestRun:
@@ -106,6 +204,28 @@ class TestRun:
         legacy = json.loads(report.to_json())
         del legacy["warnings"]
         assert Report.from_json(json.dumps(legacy)) == report
+
+    def test_to_json_matches_asdict_dump(self, fixture_csv):
+        def reference(r):
+            return json.dumps(asdict(r), indent=2, sort_keys=True, allow_nan=False)
+
+        config = RunConfig(command="att", model="distributional", gamma=2.0,
+                           delta=0.8, m=3, input=fixture_csv)
+        plain = run(config)
+        weighted = run(replace(config, emit_weights=True))
+        assert plain.weights is None and weighted.weights
+        # keys sort as strings; -0.0, repeats and float subclasses keep json's text
+        many = {str(k): v for k, v in enumerate(
+            [0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, np.float64(2.5e-5)] * 2)}
+        for report in (plain, weighted,
+                       replace(weighted, weights={}),
+                       replace(weighted, weights=many),
+                       replace(weighted, warnings=("stratum (t=0, z=1) is small",)),
+                       replace(plain, warnings=("Γ ≥ 2: «bound» may be loose",
+                                                'a "quoted"\nline'))):
+            assert report.to_json() == reference(report)
+        with pytest.raises(ValueError):
+            replace(weighted, weights={"0": float("nan")}).to_json()
 
     def test_log_outcome(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -228,6 +348,29 @@ class TestMain:
         assert json.loads(out.read_text())["status"] == "optimal"
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask022", "umask027"])
+    def test_output_file_mode_follows_umask(self, fixture_csv, tmp_path,
+                                            umask, mode):
+        out = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            code = main(["att", "--input", fixture_csv, "--model", "marginal",
+                         "--output", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == mode
+
+    def test_oversized_field_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t\n1,0\n" + "a" * 200_000 + ",1\n")
+        code = main(["att", "--input", str(path), "--model", "marginal"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: field larger than field limit (131072)\n"
+        assert captured.out == ""
 
     def test_simulate_emits_bias_table(self, tmp_path):
         out = tmp_path / "table.csv"

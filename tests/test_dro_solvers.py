@@ -582,14 +582,22 @@ def _every_shift_route(data, cfg, window):
     return (None if best is None else best[1:]), solved
 
 
-def _widened_screen(data, cfg):
+def _widened_screen(data, cfg, window):
     """Per shift: does the balance-free kernel find weights with the band
-    widened by the LP's 1e-8 row tolerance?  Also the band rows per shift."""
+    widened by the LP's 1e-8 row tolerance, and (with a mean window) does
+    their weighted-mean range reach the window within the LP's tolerance?
+    Also the band rows per shift."""
     y0 = data.control_y
     ctrl = ds._ControlAtoms.build(y0, cfg.gamma / y0.size)
     bands = ds._bands(ctrl, ecdf(data.treated_y), shift_grid(data.y, cfg.m), cfg.ks_mode)
     lo, hi = bands.at(cfg.delta)
-    wide = ds._breakpoint_extremes(lo - 1e-8, hi + 1e-8, ctrl.cum_caps[bands.cols])[0]
+    wide, c_least, c_great = ds._breakpoint_extremes(
+        lo - 1e-8, hi + 1e-8, ctrl.cum_caps[bands.cols])
+    if window is not None:
+        reach = 1.1e-8 * (1.0 + np.abs(y0).max())
+        top = ds._bucket_means(ctrl, bands.cols, c_least, from_top=True)
+        bottom = ds._bucket_means(ctrl, bands.cols, c_great, from_top=False)
+        wide &= (top >= window[0] - reach) & (bottom <= window[1] + reach)
     return wide, lo, hi
 
 
@@ -647,8 +655,11 @@ class TestBalanceRouteWork:
 
         # no LP for a shift the widened screen rejects; each such LP is
         # infeasible indeed
-        wide, lo, hi = _widened_screen(data, cfg)
+        wide, lo, hi = _widened_screen(data, cfg, window)
         assert n_route == len(built) < len(solved)
+        if did:
+            # the mean window rules out the shifts whose LPs it makes infeasible
+            assert n_route < 4
         for lo_row, hi_row in built:
             rows = np.flatnonzero((lo == lo_row).all(axis=1) & (hi == hi_row).all(axis=1))
             assert rows.size and wide[rows].all()
