@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -361,7 +362,7 @@ def run(config: RunConfig, data: Dataset | None = None) -> Report:
     runtime_ms = (time.perf_counter() - start) * 1000.0
     weights = None
     if config.emit_weights and result.status == "optimal":
-        weights = {str(k): v for k, v in sorted(result.weights.items())}
+        weights = _report_weights(result)
     return Report(
         estimate=_json_float(result.estimate),
         direction=result.direction,
@@ -379,6 +380,14 @@ def run(config: RunConfig, data: Dataset | None = None) -> Report:
         config=config.echo(),
         warnings=result.warnings,
     )
+
+
+def _report_weights(result: BoundResult) -> dict[str, float]:
+    """The weights keyed by unit index as text, in the text order the JSON
+    report writes them."""
+    keys = result.weight_index.astype(str)
+    order = np.argsort(keys, kind="stable")
+    return dict(zip(keys[order].tolist(), result.weight_values[order].tolist()))
 
 
 def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None) -> str:
@@ -449,7 +458,10 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="drci",
         description="Distributionally robust treatment-effect bounds",

@@ -33,7 +33,11 @@ each shift's LP value, so only the shifts that can still win are solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,18 +108,23 @@ class SensitivityConfig:
         return self.balance_lambda > 0 or self.balance_epsilon is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundResult:
     """A one-sided robust bound with its certificate.
 
     ``estimate = treated_mean - counterfactual_mean`` whenever the status is
-    optimal; ``weights`` maps original unit indices of the reweighted arm to
-    weights summing to one.
+    optimal.  The weights of the reweighted arm (the controls; the treated
+    for ATC) come as two read-only arrays: ``weight_index``, the original
+    unit indices in strictly ascending order, and ``weight_values``, their
+    weights, which sum to one (both empty when infeasible).  ``weights`` is
+    the same as a read-only ``{index: weight}`` mapping, built on first
+    access.
     """
 
     estimate: float
     direction: str
-    weights: dict[int, float]
+    weight_index: np.ndarray
+    weight_values: np.ndarray
     active_shift: float | None
     se: float
     status: str
@@ -123,12 +132,44 @@ class BoundResult:
     counterfactual_mean: float
     warnings: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        index = np.asarray(self.weight_index, dtype=np.int64).view()
+        values = np.asarray(self.weight_values, dtype=float).view()
+        if index.ndim != 1 or index.shape != values.shape:
+            raise ValueError("weight_index and weight_values must be 1-D of equal length")
+        if np.any(index[1:] <= index[:-1]):
+            raise ValueError("weight_index must be strictly ascending")
+        # read-only views: the caller's arrays stay writable
+        index.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "weight_index", index)
+        object.__setattr__(self, "weight_values", values)
+
+    @cached_property
+    def weights(self) -> MappingProxyType:
+        """Read-only ``{unit index: weight}`` view of the two arrays."""
+        return MappingProxyType(
+            dict(zip(self.weight_index.tolist(), self.weight_values.tolist()))
+        )
+
+    def __eq__(self, other):
+        # the generated __eq__ compares fields as tuple items (identity, then
+        # ==), which raises on arrays of more than one element
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a is b or a == b
+                   for a, b in pairs)
+
+
+_NO_WEIGHTS = np.empty(0)
+
 
 def _infeasible(direction: str, treated_mean: float, warnings=()) -> BoundResult:
     return BoundResult(
         estimate=math.nan,
         direction=direction,
-        weights={},
+        weight_index=_NO_WEIGHTS,
+        weight_values=_NO_WEIGHTS,
         active_shift=None,
         se=math.nan,
         status="infeasible",
@@ -424,10 +465,6 @@ def marginal_att_bound(data: Dataset, gamma: float, direction: str = "lower") ->
 
 def _optimal_result(data, direction, control_weights, counterfactual,
                     treated_mean, active_shift, warnings=()) -> BoundResult:
-    weights = {
-        int(i): float(wi)
-        for i, wi in zip(data.control_indices, control_weights)
-    }
     se = (
         conditional_se(data, control_weights)
         if data.n1 >= 2
@@ -436,7 +473,8 @@ def _optimal_result(data, direction, control_weights, counterfactual,
     return BoundResult(
         estimate=treated_mean - counterfactual,
         direction=direction,
-        weights=weights,
+        weight_index=data.control_indices,
+        weight_values=control_weights,
         active_shift=active_shift,
         se=se,
         status="optimal",
@@ -704,7 +742,8 @@ def atc_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResu
     return BoundResult(
         estimate=-inner.estimate,
         direction=config.direction,
-        weights=inner.weights,
+        weight_index=inner.weight_index,
+        weight_values=inner.weight_values,
         active_shift=inner.active_shift,
         se=inner.se,
         status="optimal",
@@ -758,21 +797,48 @@ def conditional_se(data: Dataset, weights) -> float:
     """Standard error treating the weights as fixed:
     ``sqrt(s1^2 / n1 + sum_i w_i^2 (Y_i - mu_w)^2)`` with ``s1^2`` the
     unbiased treated-outcome variance and ``mu_w`` the weighted control mean.
+
+    ``weights`` is a vector over the control units in index order, or a
+    mapping from control unit index to weight (absent units weigh zero).
     """
     if data.n1 < 2:
         raise ValueError("treated variance needs at least two treated units")
-    if isinstance(weights, dict):
-        w = np.array([weights.get(int(i), 0.0) for i in data.control_indices])
+    if isinstance(weights, Mapping):
+        w = _dense_control_weights(data, weights)
     else:
         w = np.asarray(weights, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(
+                f"weights must be a 1-D vector over the control units, got shape {w.shape}"
+            )
         if w.size != data.n0:
             raise ValueError("weights must cover every control unit")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if np.any(w < -1e-8) or abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be nonnegative and sum to 1")
     y0 = data.control_y
     mu_w = float(w @ y0)
     s1_sq = float(np.var(data.treated_y, ddof=1))
     return math.sqrt(s1_sq / data.n1 + float(w**2 @ (y0 - mu_w) ** 2))
+
+
+def _dense_control_weights(data: Dataset, weights: Mapping) -> np.ndarray:
+    """The ``{unit index: weight}`` mapping as a vector over the controls."""
+    try:
+        keys = np.fromiter(map(operator.index, weights), np.int64, len(weights))
+    except TypeError:
+        raise ValueError("weight keys must be integer unit indices") from None
+    controls = data.control_indices
+    pos = np.minimum(np.searchsorted(controls, keys), controls.size - 1)
+    stray = keys[controls[pos] != keys]
+    if stray.size:
+        raise ValueError(
+            f"weights name units outside the control arm: {stray[:10].tolist()}"
+        )
+    w = np.zeros(data.n0)
+    w[pos] = np.fromiter(weights.values(), float, len(weights))
+    return w
 
 
 # ---------------------------------------------------------------------------

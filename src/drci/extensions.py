@@ -147,7 +147,7 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
 
     estimate_terms = []
     counterfactual = 0.0
-    combined_weights: dict[int, float] = {}
+    arm_index, arm_values = [], []
     for z in (0, 1):
         share = strata.proportions[(1, z)] / p1
         solved = _solve_iv_arm(strata, z, grid, config, maximize)
@@ -157,19 +157,25 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
         arm_mean = float(strata.outcomes[(1, z)].mean())
         estimate_terms.append(share * (arm_mean - mu_star))
         counterfactual += share * mu_star
-        for i, wi in zip(strata.indices[(0, z)], unit_w):
-            combined_weights[int(i)] = share * float(wi)
+        arm_index.append(strata.indices[(0, z)])
+        arm_values.append(share * unit_w)
 
+    # the two arms' controls are all the controls, so the sorted weights
+    # are the vector over the control units in index order
+    index = np.concatenate(arm_index)
+    order = np.argsort(index, kind="stable")
+    values = np.concatenate(arm_values)[order]
     estimate = float(sum(estimate_terms))
     se = (
-        conditional_se(data, combined_weights)
+        conditional_se(data, values)
         if data.n1 >= 2
         else math.nan
     )
     return BoundResult(
         estimate=estimate,
         direction=config.direction,
-        weights=combined_weights,
+        weight_index=index[order],
+        weight_values=values,
         active_shift=None,
         se=se,
         status="optimal",

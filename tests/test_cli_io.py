@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 import drci.dro_solvers
 from drci import cli_io
 from drci.cli_io import ColumnMap, Report, RunConfig, load_csv, main, run, sweep
-from drci.dro_solvers import minimal_achievable_ks
+from drci.distributions import Dataset
+from drci.dro_solvers import distributional_att_bound, minimal_achievable_ks
 
 FIXTURE = """y,t
 0,0
@@ -227,6 +230,25 @@ class TestRun:
         with pytest.raises(ValueError):
             replace(weighted, weights={"0": float("nan")}).to_json()
 
+    def test_weights_json_byte_identical(self):
+        # n >= 120, so keys "9", "10" and "100" sort differently as text
+        rng = np.random.default_rng(9)
+        n = 150
+        t = (rng.random(n) < 0.3).astype(int)
+        t[[9, 10, 100]] = 0
+        data = Dataset(y=rng.normal(t, 1.0), t=t)
+        config = RunConfig(command="att", model="distributional", gamma=2.0,
+                           delta=0.3, m=5, emit_weights=True)
+        report = run(config, data)
+        result = distributional_att_bound(data, config.sensitivity())
+        old = {str(k): v for k, v in sorted(result.weights.items())}
+        assert {"9", "10", "100"} <= old.keys()
+        assert report.weights == old
+        assert list(report.weights) == sorted(old) != list(old)
+        assert report.to_json() == json.dumps(
+            asdict(replace(report, weights=old)), indent=2, sort_keys=True,
+            allow_nan=False)
+
     def test_log_outcome(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,t\n0,0\n1,0\n2,1\n3,1\n")
@@ -291,6 +313,46 @@ class TestMain:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["estimate"] == pytest.approx(1.5)
+
+    def test_parser_reuse_matches_fresh_processes(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "d.csv"
+        path.write_text("y,t\n" + "".join(
+            f"{rng.normal(t, 1):.4f},{t}\n" for t in [0, 1, 0] * 8))
+        argvs = [
+            ["att", "--input", str(path), "--model", "distributional",
+             "--gamma", "2", "--delta", "0.5", "--m", "3", "--emit-weights"],
+            ["atc", "--input", str(path), "--model", "marginal",
+             "--gamma", "1.5", "--direction", "upper"],
+        ]
+
+        # the output path is echoed in the report, so both runs share it
+        outs = [tmp_path / f"report{i}.json" for i in range(len(argvs))]
+        argvs = [argv + ["--output", str(out)] for argv, out in zip(argvs, outs)]
+
+        def report(out):
+            text = json.loads(out.read_text())
+            text.pop("runtime_ms")
+            return text
+
+        same_process = []
+        for argv, out in zip(argvs, outs):
+            assert main(argv) == 0
+            same_process.append(report(out))
+        assert cli_io._build_parser() is cli_io._build_parser()
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli_io.__file__)))
+        for argv, out, expected in zip(argvs, outs, same_process):
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from drci.cli_io import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, check=True)
+            assert report(out) == expected
+        assert same_process[0]["weights"]
+        assert same_process[1]["weights"] is None
+        assert same_process[1]["config"]["emit_weights"] is False
 
     def test_infeasible_exit_two(self, fixture_csv, capsys):
         code = main(["att", "--input", fixture_csv, "--model",

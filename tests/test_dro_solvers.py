@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -701,6 +702,123 @@ class TestConditionalSe:
         assert conditional_se(data, {0: 0.5, 1: 0.5}) == pytest.approx(
             conditional_se(data, [0.5, 0.5])
         )
+
+    def test_rejects_nan_weights(self):
+        data = Dataset(y=[0.0, 2.0, 1.0, 3.0], t=[0, 0, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            conditional_se(data, [math.nan, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            conditional_se(data, {0: 1.0, 1: math.nan})
+
+    def test_rejects_keys_outside_control_arm(self):
+        # unit 4 is treated, unit 7 does not exist
+        data = Dataset(y=[0.0, 2.0, 1.0, 3.0, 4.0], t=[0, 0, 1, 1, 1])
+        for stray in (4, 7, -1):
+            with pytest.raises(ValueError, match=rf"outside the control arm: \[{stray}\]"):
+                conditional_se(data, {0: 0.5, 1: 0.5, stray: 0.7})
+        with pytest.raises(ValueError, match="integer unit indices"):
+            conditional_se(data, {"0": 0.5, 1: 0.5})
+
+    def test_rejects_two_dimensional_vector(self):
+        data = Dataset(y=[0.0, 2.0, 1.0, 3.0], t=[0, 0, 1, 1])
+        with pytest.raises(ValueError, match=r"1-D vector.*\(1, 2\)"):
+            conditional_se(data, np.array([[0.5, 0.5]]))
+
+
+def _weight_routes():
+    """One param per route; ``solve()`` returns the result, the dataset the
+    reweighted arm is the control arm of, and that arm's unit indices."""
+    rng = np.random.default_rng(11)
+    n = 48
+    t = np.tile([0, 1, 0, 0, 1, 1], n // 6)
+    z = np.tile([0, 0, 1, 1, 1, 0, 1, 0], n // 8)
+    y = rng.normal(0.5 * t, 1.0)
+    data = Dataset(y=y, t=t, y_b=y + rng.normal(0.0, 0.3, n), z=z,
+                   x=rng.normal(0.0, 1.0, (n, 2)))
+    swapped = data.swap_arms()
+    base = SensitivityConfig(gamma=2.0, delta=0.4, m=4)
+
+    def att(solver):
+        return lambda: (solver(), data, data.control_indices)
+
+    def atc(model):
+        return lambda: (atc_bound(data, model, replace(base, lambda_tv=0.3)),
+                        swapped, swapped.control_indices)
+
+    routes = {
+        "marginal": att(lambda: marginal_att_bound(data, 2.0, "lower")),
+        "tv": att(lambda: tv_att_bound(data, 0.3, "upper")),
+        "distributional-grid": att(lambda: distributional_att_bound(data, base)),
+        "distributional-exact": att(lambda: distributional_att_bound(
+            data, replace(base, ks_mode="exact_atoms", direction="upper"))),
+        "did": att(lambda: did_att_bound(data, replace(base, epsilon=0.5))),
+        "cic": att(lambda: cic_att_bound(data, replace(base, epsilon=0.5))),
+        "iv": att(lambda: iv_att_bound(data, replace(base, m=2, delta=0.6))),
+        "atc-marginal": atc("marginal"),
+        "atc-tv": atc("tv"),
+        "atc-distributional": atc("distributional"),
+        "balance-lambda": att(lambda: distributional_att_bound(
+            data, replace(base, m=2, balance_lambda=0.5))),
+        "balance-epsilon": att(lambda: distributional_att_bound(
+            data, replace(base, m=2, balance_epsilon=1.0, direction="upper"))),
+    }
+    return [pytest.param(solve, id=name) for name, solve in routes.items()]
+
+
+class TestWeightArrays:
+    """``BoundResult`` holds the weights as (index, value) arrays; the
+    ``weights`` mapping is derived from them."""
+
+    @pytest.mark.parametrize("solve", _weight_routes())
+    def test_route(self, solve):
+        r, data, arm = solve()
+        assert r.status == "optimal"
+        index, values = r.weight_index, r.weight_values
+        assert index.dtype == np.int64 and values.dtype == np.float64
+        assert index.shape == values.shape == (index.size,) and index.size
+        assert np.all(np.diff(index) > 0)
+        assert np.isin(index, arm).all()
+        assert values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert r.weights == dict(zip(index.tolist(), values.tolist()))
+        assert r.weights is r.weights  # built once
+        with pytest.raises(TypeError):
+            r.weights[int(index[0])] = 0.0
+        with pytest.raises(ValueError):
+            index[0] = -1  # the arrays are read-only too
+        dense = np.zeros(arm.size)
+        dense[np.searchsorted(arm, index)] = values
+        assert r.se == conditional_se(data, dense)
+        assert r.se == conditional_se(data, r.weights)
+
+    def test_infeasible(self):
+        data = Dataset(y=[0.0, 1.0, 0.0, 0.4, 1.0], t=[0, 0, 1, 1, 1])
+        cfg = SensitivityConfig(gamma=5.0, delta=0.05, m=5, ks_mode="exact_atoms")
+        for r in (distributional_att_bound(data, cfg),
+                  atc_bound(data.swap_arms(), "distributional",
+                            replace(cfg, direction="upper"))):
+            assert r.status == "infeasible"
+            assert r.weight_index.dtype == np.int64 and r.weight_index.size == 0
+            assert r.weight_values.size == 0
+            assert r.weights == {}
+            with pytest.raises(TypeError):
+                r.weights[0] = 1.0
+
+    def test_equality_compares_arrays(self):
+        a = marginal_att_bound(FIVE_UNITS, 2.0, "lower")
+        assert a == marginal_att_bound(FIVE_UNITS, 2.0, "lower")
+        assert a != marginal_att_bound(FIVE_UNITS, 2.0, "upper")
+        assert a != replace(a, weight_values=a.weight_values[::-1])
+        assert a != replace(a, weight_index=a.weight_index[:2],
+                            weight_values=a.weight_values[:2])
+        off = distributional_att_bound(FIVE_UNITS, SensitivityConfig(delta=0.0, m=1))
+        assert off == replace(off) and off != a
+
+    def test_rejects_malformed_arrays(self):
+        a = marginal_att_bound(FIVE_UNITS, 2.0, "lower")
+        with pytest.raises(ValueError, match="ascending"):
+            replace(a, weight_index=a.weight_index[::-1])
+        with pytest.raises(ValueError, match="equal length"):
+            replace(a, weight_values=a.weight_values[:2])
 
 
 class TestOrderAndMonotonicity:
