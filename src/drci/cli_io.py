@@ -27,14 +27,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .distributions import Dataset
-from .dro_solvers import (
-    BoundResult,
-    SensitivityConfig,
-    atc_bound,
-    distributional_att_bound,
-    marginal_att_bound,
-    tv_att_bound,
-)
+from .dro_solvers import BoundResult, SensitivityConfig, _att_bound, atc_bound
 from .extensions import cic_att_bound, did_att_bound, iv_att_bound
 from .synthetic import Scenario, run_monte_carlo
 
@@ -333,11 +326,7 @@ def _log_transform(data: Dataset, offset: float) -> Dataset:
 def _solve(config: RunConfig, data: Dataset) -> BoundResult:
     sens = config.sensitivity()
     if config.command == "att":
-        if config.model == "marginal":
-            return marginal_att_bound(data, config.gamma, config.direction)
-        if config.model == "tv":
-            return tv_att_bound(data, config.lambda_tv, config.direction)
-        return distributional_att_bound(data, sens)
+        return _att_bound(data, config.model, sens)
     if config.command == "atc":
         return atc_bound(data, config.model, sens)
     if config.command == "did":
@@ -400,18 +389,15 @@ def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None
         data = load_csv(config.input, config.columns)
     if config.log_outcome:
         data = _log_transform(data, config.log_offset)
-        base = replace(config, log_outcome=False)
-    else:
-        base = config
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["gamma", "delta", "lower", "upper",
                      "se_lower", "se_upper", "status"])
     for g in gamma_list:
         for d in delta_list:
-            cell = replace(base, command="att", gamma=float(g), delta=float(d))
-            low = run(replace(cell, direction="lower"), data)
-            high = run(replace(cell, direction="upper"), data)
+            cell = replace(config, gamma=float(g), delta=float(d)).sensitivity()
+            low = _att_bound(data, config.model, replace(cell, direction="lower"))
+            high = _att_bound(data, config.model, replace(cell, direction="upper"))
             status = "optimal" if (low.status == "optimal" and
                                    high.status == "optimal") else "infeasible"
             writer.writerow([
@@ -423,7 +409,7 @@ def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None
 
 
 def _fmt(x) -> str:
-    return "" if x is None else f"{x:.6f}"
+    return "" if _json_float(x) is None else f"{x:.6f}"
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -7,6 +7,10 @@ location-shift KS minimization over a symmetric shift grid, the
 jump-difference (quasi)metric dual to weight-box constraints, and the
 composed CDF used by the change-in-changes target.
 
+The shifted KS comparison is evaluated in one place, the band builder
+:func:`_bands`; the solvers in :mod:`drci.dro_solvers` bound the weights
+with its bands, and :func:`min_shift_ks` reads its distances off them.
+
 Conventions
 -----------
 CDFs are right-continuous: ``F(y)`` includes the mass at ``y``.  The
@@ -18,6 +22,7 @@ generalized inverse is ``inf { y : F(y) >= p }``.  The shift ``c`` enters as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,10 +193,64 @@ def ks(f: WeightedEcdf, g: WeightedEcdf) -> float:
     return float(np.max(np.abs(f.cdf(pts) - g.cdf(pts))))
 
 
-def _ks_at_shift(f: WeightedEcdf, g: WeightedEcdf, c: float) -> float:
-    """Exact ``max_y |F(y) - G(y + c)|`` for a single shift."""
-    pts = np.union1d(f.atoms, g.atoms - c)
-    return float(np.max(np.abs(f.cdf(pts) - g.cdf(pts + c))))
+@dataclass(frozen=True)
+class _Bands:
+    """The KS band of every shift at its breakpoint columns.
+
+    The band bounds the cumulative weight only at ``cols`` (ascending, always
+    including the pinned columns 0 and K); the atoms between two consecutive
+    breakpoints form one bucket.  ``top``/``bottom`` (S, L) hold the largest
+    and smallest treated-CDF value the band compares with each breakpoint
+    (``-inf``/``inf`` where it compares none), so the band at ``delta`` is
+    ``[top - delta, bottom + delta]``.
+    """
+
+    cols: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @classmethod
+    def unconstrained(cls, cols: np.ndarray, n_shifts: int) -> "_Bands":
+        shape = (n_shifts, cols.size)
+        return cls(cols, np.full(shape, -np.inf), np.full(shape, np.inf))
+
+    def at(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        # rounding is monotone, so max(x) - delta == max(x - delta) exactly
+        return self.top - delta, self.bottom + delta
+
+
+def _column_extremes(idx: np.ndarray, values: np.ndarray):
+    """Columns hit by ``idx`` (nondecreasing) and the max and min of
+    ``values`` (along the last axis) over each column's evaluation points."""
+    cols, starts = np.unique(idx, return_index=True)
+    return (cols, np.maximum.reduceat(values, starts, axis=-1),
+            np.minimum.reduceat(values, starts, axis=-1))
+
+
+def _bands(ctrl, target: WeightedEcdf, grid: ShiftGrid, ks_mode: str) -> _Bands:
+    """Breakpoint bands of the double-grid KS constraint (at most 2m+3
+    columns, shared by every shift) or of the exact one (every column), for
+    any CDF on the atoms ``ctrl.atoms``, the only attribute read."""
+    k, n_shifts = ctrl.atoms.size, grid.shifts.size
+    if ks_mode == "grid" and not grid.degenerate:
+        m, eps = grid.m, grid.epsilon
+        idx = np.searchsorted(ctrl.atoms, grid.anchor + np.arange(2 * m + 1) * eps,
+                              side="right")
+        f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
+        tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
+        hit, t_max, t_min = _column_extremes(idx, tmat)
+        bands = _Bands.unconstrained(np.union1d(hit, [0, k]), n_shifts)
+        pos = np.searchsorted(bands.cols, hit)
+        bands.top[:, pos], bands.bottom[:, pos] = t_max, t_min
+        return bands
+    bands = _Bands.unconstrained(np.arange(k + 1), n_shifts)
+    for j, c in enumerate(grid.shifts):
+        pts = np.union1d(ctrl.atoms, target.atoms - c)
+        hit, t_max, t_min = _column_extremes(
+            np.searchsorted(ctrl.atoms, pts, side="right"), target.cdf(pts + c)
+        )
+        bands.top[j, hit], bands.bottom[j, hit] = t_max, t_min
+    return bands
 
 
 def min_shift_ks(
@@ -206,22 +265,17 @@ def min_shift_ks(
     ``grid`` evaluates the double-grid approximation with F at
     ``anchor + k*eps`` and G at ``anchor + c0 + (j+k)*eps``.  Ties break
     toward the shift of smallest absolute value, then the smaller shift.
+    The distances come from the solvers' KS bands: with F's cumulative ``C``
+    at the breakpoints, the larger of ``top - C`` and ``C - bottom``.
 
     Returns ``(distance, shift)``.
     """
     if mode not in ("grid", "exact_atoms"):
         raise ValueError(f"unknown mode {mode!r}")
     shifts = grid.shifts
-    if mode == "exact_atoms" or grid.degenerate:
-        dists = np.array([_ks_at_shift(f, g, c) for c in shifts])
-    else:
-        k = np.arange(2 * grid.m + 1)
-        f_vals = f.cdf(grid.anchor + k * grid.epsilon)
-        # G at anchor + c0 + (j+k)*eps for j+k in 0..4m.
-        q = np.arange(4 * grid.m + 1)
-        g_vals = g.cdf(grid.anchor + grid.c0 + q * grid.epsilon)
-        windows = np.lib.stride_tricks.sliding_window_view(g_vals, 2 * grid.m + 1)
-        dists = np.max(np.abs(f_vals[None, :] - windows), axis=1)
+    bands = _bands(f, g, grid, mode)
+    cum = np.concatenate(([0.0], f.cum))[bands.cols]
+    dists = np.maximum(bands.top - cum, cum - bands.bottom).max(axis=1)
     # lexicographic tie-break: distance, |shift|, shift
     order = np.lexsort((shifts, np.abs(shifts), dists))
     best = order[0]
@@ -281,7 +335,8 @@ class Dataset:
     x: np.ndarray | None = None
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        # own read-only copies of y and t: the cached arm views are read off them
+        y = np.array(self.y, dtype=float)
         t = np.asarray(self.t)
         if y.ndim != 1 or y.size < 2:
             raise ValueError("Dataset needs at least two units")
@@ -294,8 +349,8 @@ class Dataset:
             raise ValueError("both treatment arms must be nonempty")
         if not np.all(np.isfinite(y)):
             raise ValueError("outcomes must be finite")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "y", _read_only(y))
+        object.__setattr__(self, "t", _read_only(t))
         for name in ("y_b", "z", "x"):
             val = getattr(self, name)
             if val is None:
@@ -330,17 +385,17 @@ class Dataset:
     def n0(self) -> int:
         return self.n - self.n1
 
-    @property
+    @cached_property
     def treated_y(self) -> np.ndarray:
-        return self.y[self.t == 1]
+        return _read_only(self.y[self.t == 1])
 
-    @property
+    @cached_property
     def control_y(self) -> np.ndarray:
-        return self.y[self.t == 0]
+        return _read_only(self.y[self.t == 0])
 
-    @property
+    @cached_property
     def control_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.t == 0)
+        return _read_only(np.flatnonzero(self.t == 0))
 
     @property
     def covariate_dim(self) -> int:
@@ -364,3 +419,8 @@ class Dataset:
     def swap_arms(self) -> "Dataset":
         """Relabel treatment (1 - t); used by the ATC-by-symmetry route."""
         return Dataset(y=self.y, t=1 - self.t, y_b=self.y_b, z=self.z, x=self.x)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr

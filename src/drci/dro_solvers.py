@@ -16,9 +16,12 @@ element exists and maximizes (minimizes) the weighted mean.  The KS band
 binds the cumulative weight only at a few breakpoint columns: in grid mode
 the columns of the 2m+1 evaluation points, which are the same for every
 shift, plus the pinned first and last column (L <= 2m+3 in all); in exact
-mode every column.  The prefix/suffix scans that find both elements run on
-the (S, L) breakpoint bands, vectorized across all S shifts, and give
-exactly the values a scan over all K atoms gives there.  Between two
+mode every column.  The bands live in :mod:`drci.distributions`, whose
+``min_shift_ks`` reads the same ones; every route here and in
+:mod:`drci.extensions` builds them with :func:`_control_bands`.  The
+prefix/suffix scans that find both elements run on the (S, L) breakpoint
+bands, vectorized across all S shifts, and give exactly the values a scan
+over all K atoms gives there.  Between two
 breakpoints the least element fills the bucket's mass greedily from its top
 atom and the greatest from its bottom atom, so both weighted means follow
 in closed form from prefix sums of the capacities and capacity-weighted
@@ -41,7 +44,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import Dataset, ShiftGrid, WeightedEcdf, ecdf, shift_grid
+from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, ecdf,
+                            shift_grid)
 from .lp_core import LpProblem, solve_lp
 
 __all__ = [
@@ -220,66 +224,6 @@ class _ControlAtoms:
 # per-shift subproblem: extreme weighted means under cumulative bands
 
 
-@dataclass(frozen=True)
-class _Bands:
-    """The KS band of every shift at its breakpoint columns.
-
-    The band bounds the cumulative weight only at ``cols`` (ascending, always
-    including the pinned columns 0 and K); the atoms between two consecutive
-    breakpoints form one bucket.  ``top``/``bottom`` (S, L) hold the largest
-    and smallest treated-CDF value the band compares with each breakpoint
-    (``-inf``/``inf`` where it compares none), so the band at ``delta`` is
-    ``[top - delta, bottom + delta]``.
-    """
-
-    cols: np.ndarray
-    top: np.ndarray
-    bottom: np.ndarray
-
-    @classmethod
-    def unconstrained(cls, cols: np.ndarray, n_shifts: int) -> "_Bands":
-        shape = (n_shifts, cols.size)
-        return cls(cols, np.full(shape, -np.inf), np.full(shape, np.inf))
-
-    def at(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        # rounding is monotone, so max(x) - delta == max(x - delta) exactly
-        return self.top - delta, self.bottom + delta
-
-
-def _column_extremes(idx: np.ndarray, values: np.ndarray):
-    """Columns hit by ``idx`` (nondecreasing) and the max and min of
-    ``values`` (along the last axis) over each column's evaluation points."""
-    cols, starts = np.unique(idx, return_index=True)
-    return (cols, np.maximum.reduceat(values, starts, axis=-1),
-            np.minimum.reduceat(values, starts, axis=-1))
-
-
-def _bands(ctrl: _ControlAtoms, target: WeightedEcdf, grid: ShiftGrid,
-           ks_mode: str) -> _Bands:
-    """Breakpoint bands of the double-grid KS constraint (at most 2m+3
-    columns, shared by every shift) or of the exact one (every column)."""
-    k, n_shifts = ctrl.atoms.size, grid.shifts.size
-    if ks_mode == "grid" and not grid.degenerate:
-        m, eps = grid.m, grid.epsilon
-        idx = np.searchsorted(ctrl.atoms, grid.anchor + np.arange(2 * m + 1) * eps,
-                              side="right")
-        f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
-        tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
-        hit, t_max, t_min = _column_extremes(idx, tmat)
-        bands = _Bands.unconstrained(np.union1d(hit, [0, k]), n_shifts)
-        pos = np.searchsorted(bands.cols, hit)
-        bands.top[:, pos], bands.bottom[:, pos] = t_max, t_min
-        return bands
-    bands = _Bands.unconstrained(np.arange(k + 1), n_shifts)
-    for j, c in enumerate(grid.shifts):
-        pts = np.union1d(ctrl.atoms, target.atoms - c)
-        hit, t_max, t_min = _column_extremes(
-            np.searchsorted(ctrl.atoms, pts, side="right"), target.cdf(pts + c)
-        )
-        bands.top[j, hit], bands.bottom[j, hit] = t_max, t_min
-    return bands
-
-
 def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
     """Least and greatest feasible cumulative weights at the breakpoints.
 
@@ -373,7 +317,6 @@ class _ShiftSolve:
     breakpoint columns ``cols[1:]``; ``cum_caps`` expands one to all atoms.
     """
 
-    shifts: np.ndarray
     feasible: np.ndarray
     obj_min: np.ndarray
     obj_max: np.ndarray
@@ -396,20 +339,20 @@ class _ShiftSolve:
         return lam * v_hi + (1.0 - lam) * v_lo
 
 
-def _shift_solve(
-    ctrl: _ControlAtoms,
-    target: WeightedEcdf,
-    grid: ShiftGrid,
-    delta: float,
-    ks_mode: str,
-) -> _ShiftSolve:
-    """Solve the per-shift weighted-mean extremes for every grid shift."""
-    bands = _bands(ctrl, target, grid, ks_mode)
-    feasible, c_least, c_great = _breakpoint_extremes(
-        *bands.at(delta), ctrl.cum_caps[bands.cols]
-    )
+def _control_bands(control_y: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
+                   gamma: float, ks_mode: str) -> tuple[_ControlAtoms, _Bands]:
+    """The control atoms (capacity ``gamma`` / n0 per unit) and the KS bands
+    of every grid shift at their breakpoint columns."""
+    ctrl = _ControlAtoms.build(control_y, gamma / control_y.size)
+    return ctrl, _bands(ctrl, target, grid, ks_mode)
+
+
+def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
+                 hi: np.ndarray) -> _ShiftSolve:
+    """Solve the per-shift weighted-mean extremes for every shift, with the
+    cumulative weight at ``bands.cols`` held in ``[lo, hi]`` (S, L)."""
+    feasible, c_least, c_great = _breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols])
     return _ShiftSolve(
-        shifts=grid.shifts,
         feasible=feasible,
         obj_min=_bucket_means(ctrl, bands.cols, c_great, from_top=False),
         obj_max=_bucket_means(ctrl, bands.cols, c_least, from_top=True),
@@ -549,11 +492,10 @@ def _distributional_core(
     if config.wants_balance:
         return _distributional_lp_route(data, config, mean_window, treated_mean, warnings)
 
-    y0 = data.control_y
-    ctrl = _ControlAtoms.build(y0, config.gamma / y0.size)
-    target = ecdf(data.treated_y)
     grid = shift_grid(data.y, config.m)
-    solve = _shift_solve(ctrl, target, grid, config.delta, config.ks_mode)
+    ctrl, bands = _control_bands(data.control_y, ecdf(data.treated_y), grid,
+                                 config.gamma, config.ks_mode)
+    solve = _shift_solve(ctrl, bands, *bands.at(config.delta))
 
     ok = solve.feasible
     lo_val, hi_val = solve.obj_min.copy(), solve.obj_max.copy()
@@ -565,7 +507,7 @@ def _distributional_core(
 
     maximize = config.direction == "lower"
     values = hi_val if maximize else lo_val
-    pick = _select_shift(values, ok, solve.shifts, maximize)
+    pick = _select_shift(values, ok, grid.shifts, maximize)
     if pick is None:
         return _infeasible(config.direction, treated_mean, warnings)
     value = float(values[pick])
@@ -573,7 +515,7 @@ def _distributional_core(
     w = ctrl.unit_weights(masses)
     return _optimal_result(
         data, config.direction, w, value, treated_mean,
-        float(solve.shifts[pick]), warnings,
+        float(grid.shifts[pick]), warnings,
     )
 
 
@@ -598,22 +540,17 @@ def _distributional_lp_route(
     unchanged, so the result is the one a solve of every shift gives.
     """
     y0 = data.control_y
-    n0 = y0.size
-    ctrl = _ControlAtoms.build(y0, config.gamma / n0)
-    target = ecdf(data.treated_y)
     grid = shift_grid(data.y, config.m)
+    ctrl, bands = _control_bands(y0, ecdf(data.treated_y), grid, config.gamma,
+                                 config.ks_mode)
 
     bal = balance_terms(data, config.balance_lambda)
     maximize = config.direction == "lower"
-    bands = _bands(ctrl, target, grid, config.ks_mode)
     lo, hi = bands.at(config.delta)
-    feasible, c_least, c_great = _breakpoint_extremes(
-        lo - _LP_ROW_TOL, hi + _LP_ROW_TOL, ctrl.cum_caps[bands.cols]
-    )
+    screen = _shift_solve(ctrl, bands, lo - _LP_ROW_TOL, hi + _LP_ROW_TOL)
+    feasible, obj_min, obj_max = screen.feasible, screen.obj_min, screen.obj_max
     # the LP has no row for column 0; both pinned columns keep the kernel's tolerance
     feasible &= (lo[:, 0] <= _TOL) & (hi[:, -1] >= 1 - _TOL) & (lo[:, -1] <= 1 + _TOL)
-    obj_max = _bucket_means(ctrl, bands.cols, c_least, from_top=True)
-    obj_min = _bucket_means(ctrl, bands.cols, c_great, from_top=False)
     scale = 1.0 + float(np.abs(y0).max())
     slack = 1e-9 * scale
     if mean_window is not None:
@@ -727,16 +664,8 @@ def atc_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResu
     Estimate convention: counterfactual treated mean (reweighted treated
     sample) minus the control mean.
     """
-    if model not in ("marginal", "distributional", "tv"):
-        raise ValueError(f"unknown model {model!r}")
-    swapped = data.swap_arms()
     flipped = "upper" if config.direction == "lower" else "lower"
-    if model == "marginal":
-        inner = marginal_att_bound(swapped, config.gamma, flipped)
-    elif model == "tv":
-        inner = tv_att_bound(swapped, config.lambda_tv, flipped)
-    else:
-        inner = distributional_att_bound(swapped, replace(config, direction=flipped))
+    inner = _att_bound(data.swap_arms(), model, replace(config, direction=flipped))
     if inner.status != "optimal":
         return _infeasible(config.direction, math.nan, inner.warnings)
     return BoundResult(
@@ -751,6 +680,17 @@ def atc_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResu
         counterfactual_mean=inner.treated_mean,
         warnings=inner.warnings,
     )
+
+
+def _att_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResult:
+    """The ATT bound of ``model`` (marginal, tv or distributional)."""
+    if model == "marginal":
+        return marginal_att_bound(data, config.gamma, config.direction)
+    if model == "tv":
+        return tv_att_bound(data, config.lambda_tv, config.direction)
+    if model == "distributional":
+        return distributional_att_bound(data, config)
+    raise ValueError(f"unknown model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -859,12 +799,11 @@ def minimal_achievable_ks(
     The breakpoint bands do not depend on ``delta``, so they are built once
     and each step reruns only the breakpoint scans.
     """
-    y0 = data.control_y
-    ctrl = _ControlAtoms.build(y0, gamma / y0.size)
-    target = ecdf(data.treated_y)
-    grid = shift_grid(data.y, m)
-
-    bands = _bands(ctrl, target, grid, ks_mode)
+    SensitivityConfig(gamma=gamma, m=m, ks_mode=ks_mode)  # validates the knobs
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+    ctrl, bands = _control_bands(data.control_y, ecdf(data.treated_y),
+                                 shift_grid(data.y, m), gamma, ks_mode)
     p = ctrl.cum_caps[bands.cols]
 
     def feasible(delta: float) -> bool:
@@ -875,6 +814,8 @@ def minimal_achievable_ks(
         return 0.0
     while hi_d - lo_d > tol:
         mid = 0.5 * (lo_d + hi_d)
+        if mid in (lo_d, hi_d):  # no float left between the two ends
+            break
         if feasible(mid):
             hi_d = mid
         else:

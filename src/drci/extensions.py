@@ -26,7 +26,7 @@ from .distributions import Dataset, WeightedEcdf, cic_target_cdf, ecdf, shift_gr
 from .dro_solvers import (
     BoundResult,
     SensitivityConfig,
-    _ControlAtoms,
+    _control_bands,
     _distributional_core,
     _infeasible,
     _shift_solve,
@@ -190,13 +190,12 @@ def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
     """Extreme counterfactual mean for arm ``z``; returns (mean, weights over
     the (0, z) stratum) or None when no shift pair is feasible."""
     eps = config.epsilon
-    target = strata.treated_ecdf[z]
-    y_main = strata.outcomes[(0, z)]
-    y_other = strata.outcomes[(0, 1 - z)]
-    ctrl_main = _ControlAtoms.build(y_main, config.gamma / y_main.size)
-    ctrl_other = _ControlAtoms.build(y_other, config.gamma / y_other.size)
-    main = _shift_solve(ctrl_main, target, grid, config.delta, config.ks_mode)
-    other = _shift_solve(ctrl_other, target, grid, config.delta, config.ks_mode)
+    solved = []
+    for arm in (z, 1 - z):
+        ctrl, bands = _control_bands(strata.outcomes[(0, arm)], strata.treated_ecdf[z],
+                                     grid, config.gamma, config.ks_mode)
+        solved.append((ctrl, _shift_solve(ctrl, bands, *bands.at(config.delta))))
+    (ctrl_main, main), (_, other) = solved
 
     # attainable-interval coupling: the pair is feasible iff the main
     # interval meets the other interval inflated by eps

@@ -4,7 +4,8 @@ Nothing here shares code with the package solvers: LPs are solved by
 enumerating candidate vertices (every choice of n active constraints) or by
 scipy's HiGHS (:func:`highs_solve`), the marginal box-simplex by enumerating
 its vertex patterns, and the distributional model by exhausting the
-one-active-shift binary patterns with raw (unconsolidated) constraint rows.
+one-active-shift binary patterns with raw (unconsolidated) constraint rows,
+and the shifted KS distance by evaluating both raw step CDFs point by point.
 """
 
 from __future__ import annotations
@@ -213,6 +214,49 @@ def brute_distributional(y0, y1, gamma, delta, m, mode="grid",
         return "infeasible", None, None
     treated_mean = float(y1.mean())
     return "optimal", treated_mean - best, best
+
+
+def brute_shift_ks(f_values, f_weights, g_values, grid_values, m,
+                   mode="exact_atoms"):
+    """``KS(F(y), G(y + c))`` for every shift ``c`` of the symmetric grid
+    over ``grid_values``, by brute force on the raw (unmerged) samples.
+
+    F has masses ``f_weights`` (uniform when None) on ``f_values``, G uniform
+    masses on ``g_values``.  ``exact_atoms``, and any degenerate grid,
+    compares F at each point of ``f_values`` and ``g_values - c`` with G at
+    that point plus ``c``; ``grid`` compares F at ``anchor + k*eps`` with G
+    at ``anchor - span + (j+k)*eps`` (``anchor`` and ``span`` the minimum and
+    range of ``grid_values``).  Returns ``(shifts, distances)``.
+    """
+    f_values = np.asarray(f_values, dtype=float)
+    g_values = np.asarray(g_values, dtype=float)
+    f_weights = (np.ones(f_values.size) if f_weights is None
+                 else np.asarray(f_weights, dtype=float))
+    grid_values = np.asarray(grid_values, dtype=float)
+    anchor = grid_values.min()
+    span = grid_values.max() - anchor
+    if span == 0:
+        shifts = np.zeros(1)
+    else:
+        eps = span / m
+        shifts = -span + eps * np.arange(2 * m + 1)
+        shifts[m] = 0.0
+
+    def cdf(values, weights, y):
+        return weights[values <= y].sum() / weights.sum()
+
+    g_weights = np.ones(g_values.size)
+    dists = np.zeros(shifts.size)
+    for j, c in enumerate(shifts):
+        if mode == "grid" and span > 0:
+            pairs = [(anchor + k * eps, anchor - span + (j + k) * eps)
+                     for k in range(2 * m + 1)]
+        else:
+            pairs = [(y, y + c)
+                     for y in set(f_values.tolist()) | set((g_values - c).tolist())]
+        dists[j] = max(abs(cdf(f_values, f_weights, y) - cdf(g_values, g_weights, z))
+                       for y, z in pairs)
+    return shifts, dists
 
 
 def brute_iv(strata_y, gamma, delta, epsilon, m, direction="lower"):

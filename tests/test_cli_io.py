@@ -300,6 +300,32 @@ class TestSweep:
         assert lowers == sorted(lowers, reverse=True)
         assert uppers == sorted(uppers)
 
+    def test_cells_match_run_with_log_outcome(self, tmp_path):
+        # gamma = 1 with delta = 0 has no feasible shift: that cell's
+        # estimates and standard errors are written as empty fields
+        path = tmp_path / "d.csv"
+        path.write_text("y,t\n1,0\n2,0\n4,0\n3,1\n5,1\n9,1\n")
+        config = RunConfig(command="sweep", model="distributional", m=3,
+                           input=str(path), log_outcome=True)
+        gammas, deltas = [1.0, 2.0], [0.0, 0.5]
+        rows = sweep(config, gammas, deltas).splitlines()[1:]
+        expected = []
+        for g in gammas:
+            for d in deltas:
+                low, up = (run(replace(config, command="att", gamma=g, delta=d,
+                                       direction=direction))
+                           for direction in ("lower", "upper"))
+                status = ("optimal" if low.status == up.status == "optimal"
+                          else "infeasible")
+                expected.append(",".join(
+                    [f"{g:g}", f"{d:g}"]
+                    + ["" if x is None else f"{x:.6f}"
+                       for x in (low.estimate, up.estimate, low.se, up.se)]
+                    + [status]))
+        assert rows == expected
+        assert rows[0] == "1,0,,,,,infeasible"
+        assert rows[-1].endswith(",optimal")
+
     def test_empty_grid_rejected(self, fixture_csv):
         config = RunConfig(command="sweep", input=fixture_csv)
         with pytest.raises(ValueError):

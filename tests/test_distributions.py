@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_shift_ks
 
 from drci.distributions import (
     Dataset,
@@ -127,6 +130,31 @@ class TestMinShiftKs:
         f = ecdf([0.0, 1.0])
         with pytest.raises(ValueError):
             min_shift_ks(f, f, shift_grid([0.0, 1.0], 1), mode="nope")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.data())
+    def test_matches_brute_force(self, case):
+        # integer levels give ties within and across the samples; a constant
+        # grid source gives the degenerate grid
+        scale = case.draw(st.sampled_from([1.0, 0.1, 2.5]))
+        levels = st.lists(st.integers(-5, 5), min_size=1, max_size=8)
+        f_vals = np.array(case.draw(levels)) * scale
+        g_vals = np.array(case.draw(levels)) * scale + case.draw(
+            st.sampled_from([0.0, 0.37]))
+        f_w = case.draw(st.none() | st.lists(
+            st.floats(0.05, 5.0), min_size=f_vals.size, max_size=f_vals.size))
+        grid_vals = (np.full(2, f_vals[0]) if case.draw(st.booleans())
+                     else np.concatenate([f_vals, g_vals]))
+        m = case.draw(st.integers(1, 5))
+        mode = case.draw(st.sampled_from(["grid", "exact_atoms"]))
+
+        dist, shift = min_shift_ks(ecdf(f_vals, f_w), ecdf(g_vals),
+                                   shift_grid(grid_vals, m), mode)
+        shifts, dists = brute_shift_ks(f_vals, f_w, g_vals, grid_vals, m, mode)
+        assert dist == pytest.approx(dists.min(), abs=1e-12)
+        # the reported shift attains the minimum (ties may break either way
+        # between distances equal up to rounding)
+        assert dists[np.argmin(np.abs(shifts - shift))] <= dists.min() + 1e-12
 
 
 class TestD0:
@@ -287,3 +315,29 @@ class TestDataset:
         s = d.swap_arms()
         assert s.control_y.tolist() == [1.0, 2.0]
         assert s.n1 == 1
+
+    def test_arm_views_built_once(self):
+        d = Dataset(y=[0, 1, 2, 3], t=[0, 1, 1, 0])
+        for name in ("treated_y", "control_y", "control_indices"):
+            assert getattr(d, name) is getattr(d, name)
+
+    def test_arm_views_read_only(self):
+        y = np.array([0.0, 1.0, 2.0, 3.0])
+        d = Dataset(y=y, t=[0, 1, 1, 0])
+        for view in (d.treated_y, d.control_y, d.control_indices, d.y, d.t):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 7
+        # the dataset keeps its own copy, so the views cannot go stale
+        y[0] = 9.0
+        assert d.y.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert d.control_y.tolist() == [0.0, 3.0]
+
+    def test_swap_arms_gets_fresh_views(self):
+        d = Dataset(y=[0, 1, 2, 3], t=[0, 1, 1, 0])
+        before = (d.treated_y, d.control_y, d.control_indices)
+        s = d.swap_arms()
+        assert s.treated_y.tolist() == [0.0, 3.0]
+        assert s.control_y.tolist() == [1.0, 2.0]
+        assert s.control_indices.tolist() == [1, 2]
+        assert all(a is not b for a, b in
+                   zip(before, (s.treated_y, s.control_y, s.control_indices)))

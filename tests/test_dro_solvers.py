@@ -883,6 +883,27 @@ class TestFeasibilityThreshold:
                         gamma=g, delta=max(0.0, thr - 1e-6), m=4, ks_mode=mode))
                     assert below.status == "infeasible"
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gamma": 0.5}, {"ks_mode": "nope"}, {"m": 0}, {"tol": 0.0},
+         {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf}],
+        ids=["gamma", "ks_mode", "m", "tol_zero", "tol_negative", "tol_nan",
+             "tol_inf"],
+    )
+    def test_rejects_bad_knobs(self, kwargs):
+        data = _random_dataset(np.random.default_rng(31))
+        with pytest.raises(ValueError):
+            minimal_achievable_ks(data, **{"gamma": 2.0, **kwargs})
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # the bisection stops once no float lies between its two ends
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            data = _random_dataset(rng)
+            coarse = minimal_achievable_ks(data, 1.5, m=4)
+            fine = minimal_achievable_ks(data, 1.5, m=4, tol=1e-300)
+            assert fine <= coarse <= fine + 1e-9
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
