@@ -36,6 +36,7 @@ each shift's LP value, so only the shifts that can still win are solved.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -88,19 +89,20 @@ class SensitivityConfig:
     ks_mode: str = "grid"
 
     def __post_init__(self):
-        if self.gamma < 1:
+        # written as `not x >= a` so that NaN fails them too
+        if not self.gamma >= 1:
             raise ValueError("gamma must be >= 1")
         if not 0 <= self.delta <= 1:
             raise ValueError("delta must be in [0, 1]")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if not 0 <= self.lambda_tv <= 1:
             raise ValueError("lambda_tv must be in [0, 1]")
-        if self.m < 1:
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if self.balance_lambda < 0:
+        if not self.balance_lambda >= 0:
             raise ValueError("balance_lambda must be nonnegative")
-        if self.balance_epsilon is not None and self.balance_epsilon < 0:
+        if self.balance_epsilon is not None and not self.balance_epsilon >= 0:
             raise ValueError("balance_epsilon must be nonnegative")
         if self.direction not in ("lower", "upper"):
             raise ValueError("direction must be 'lower' or 'upper'")
@@ -386,7 +388,7 @@ def marginal_att_bound(data: Dataset, gamma: float, direction: str = "lower") ->
     fractional-knapsack: saturate extreme weights in outcome order, leaving
     at most one fractional weight.
     """
-    if gamma < 1:
+    if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     _check_direction(direction)
     y0 = data.control_y
@@ -535,9 +537,11 @@ def _distributional_lp_route(
     relaxes every point the LP can certify: a shift the kernel finds
     infeasible, or whose weighted-mean range misses the DiD/CIC mean window,
     has no LP solution, and its extreme weighted mean bounds the shift's LP
-    value.  Shifts are solved best bound first until no bound
-    left can reach the incumbent; the selection key (value, |c|, c) is
-    unchanged, so the result is the one a solve of every shift gives.
+    value.  Shifts are solved best bound first until no bound left can
+    reach the incumbent, and ``_select_shift`` picks among the solved ones
+    as the kernel route does (values within ``_TIE_TOL`` tie, then the
+    smallest |c|, then c), so the result is the one a solve of every shift
+    gives.
     """
     y0 = data.control_y
     grid = shift_grid(data.y, config.m)
@@ -558,31 +562,32 @@ def _distributional_lp_route(
         wlo, whi = mean_window
         reach = _LP_ROW_TOL * scale + slack
         feasible &= (obj_max >= wlo - reach) & (obj_min <= whi + reach)
-    # bounds on the first component of each shift's key (smaller is better)
+    # bounds on each shift's LP value, oriented so that smaller is better
     bound = -obj_max if maximize else obj_min
     shifts = grid.shifts
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((shifts[cand], np.abs(shifts[cand]), bound[cand]))]
 
-    best = None  # (key, w, raw value, shift)
+    values = np.full(shifts.size, np.nan)  # penalized LP value per solved shift
+    solved = {}  # shift index -> control weights
+    best = math.inf  # best oriented value so far
     for j in cand:
-        if best is not None and bound[j] > best[0][0] + slack:
+        if bound[j] > best + slack:
             break
         sol = _solve_balance_lp(
             data, config, bal, bands.cols, lo[j], hi[j], ctrl, mean_window
         )
         if sol is None:
             continue
-        penalized, w = sol
-        c_shift = float(shifts[j])
-        key = (-penalized if maximize else penalized, abs(c_shift), c_shift)
-        if best is None or key < best[0]:
-            best = (key, w, float(w @ y0), c_shift)
-    if best is None:
+        values[j], solved[j] = sol
+        best = min(best, -values[j] if maximize else values[j])
+    pick = _select_shift(values, ~np.isnan(values), shifts, maximize)
+    if pick is None:
         return _infeasible(config.direction, treated_mean, warnings)
-    _, w, raw, c_shift = best
+    w = solved[pick]
     return _optimal_result(
-        data, config.direction, w, raw, treated_mean, c_shift, warnings
+        data, config.direction, w, float(w @ y0), treated_mean,
+        float(shifts[pick]), warnings,
     )
 
 
@@ -716,7 +721,7 @@ class BalanceTerms:
 
 
 def balance_terms(data: Dataset, lam: float) -> BalanceTerms:
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("balance penalty must be nonnegative")
     if data.x is None or data.covariate_dim == 0:
         raise ValueError("dataset carries no covariates")

@@ -1,8 +1,12 @@
 """Deterministic bounded-variable linear programming.
 
-A dense two-phase primal simplex with Bland's anti-cycling rule.  Problem
-sizes here are at most a few hundred variables, so a dense tableau with
-index-based tie-breaking buys determinism and simplicity at negligible cost.
+A dense two-phase primal simplex.  The entering column is priced by
+Dantzig's rule (largest |reduced cost|), with Bland's lowest-index rule after
+a run of degenerate pivots so that it cannot cycle; the leaving row is always
+Bland's.  The LPs here have few rows (tens) and up to a few thousand boxed
+columns, so a dense tableau with index-based tie-breaking buys determinism
+and simplicity.  The basic values of the final basis are recomputed from the
+original rows before the point is certified.
 
 Internally every variable is shifted/flipped/split so that it lives in
 ``[0, U]`` with ``U`` possibly infinite; inequality rows get slack columns
@@ -21,6 +25,7 @@ __all__ = ["LpProblem", "LpSolution", "solve_lp"]
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 _PIVOT_TOL = 1e-10
+_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
 
 
 @dataclass
@@ -110,6 +115,14 @@ class _Tableau:
         x[self.basis] = self.xb
         return x
 
+    def resolve_basics(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Recompute the basic values from the original rows ``a y = b`` for
+        the current basis, so pivot roundoff in the tableau cannot reach the
+        returned point."""
+        x = self.solution()
+        x[self.basis] = 0.0
+        self.xb = np.linalg.solve(a[:, self.basis], b - a @ x)
+
     def degenerate_pivot(self, row: int, col: int) -> None:
         """Swap nonbasic ``col`` into the basis for the zero-valued basic
         variable of ``row``.  No value moves: ``col`` keeps its nonbasic
@@ -124,33 +137,40 @@ class _Tableau:
         self.basis[row] = col
 
     def run(self, cost: np.ndarray, max_iter: int) -> str:
-        """Minimize ``cost`` from the current basis; returns optimal/unbounded."""
+        """Minimize ``cost`` from the current basis; returns optimal/unbounded.
+
+        The entering column is Dantzig's: the largest |reduced cost|, lowest
+        index on ties.  After ``_BLAND_AFTER`` degenerate pivots in a row it is
+        Bland's lowest eligible index until a pivot moves the point again, so
+        the simplex cannot cycle.  The leaving row is always Bland's."""
         is_basic = np.zeros(self.n, dtype=bool)
+        is_basic[self.basis] = True
+        ub_basic = self.upper[self.basis]
+        degenerate = 0
         for _ in range(max_iter):
-            is_basic[:] = False
-            is_basic[self.basis] = True
             d = cost - cost[self.basis] @ self.t
-            enter_lo = ~is_basic & ~self.at_upper & (d < -OPT_TOL)
-            enter_hi = ~is_basic & self.at_upper & (d > OPT_TOL)
-            candidates = np.flatnonzero(enter_lo | enter_hi)
-            if candidates.size == 0:
+            # objective decrease per unit move of each nonbasic column
+            # away from its current bound
+            gain = np.where(self.at_upper, d, -d)
+            gain[is_basic] = 0.0
+            if degenerate < _BLAND_AFTER:
+                j = int(np.argmax(gain))  # Dantzig; lowest index on ties
+            else:
+                j = int(np.argmax(gain > OPT_TOL))  # Bland: lowest index
+            if not gain[j] > OPT_TOL:
                 return "optimal"
-            j = int(candidates[0])  # Bland: lowest index
             increasing = not self.at_upper[j]
             # rate of change of basic values per unit move of the entering var
             rate = -self.t[:, j] if increasing else self.t[:, j]
             limits = np.full(self.m, np.inf)
-            dec = rate < -_PIVOT_TOL
-            limits[dec] = self.xb[dec] / -rate[dec]
-            inc = rate > _PIVOT_TOL
-            ub_basic = self.upper[self.basis]
-            finite_inc = inc & np.isfinite(ub_basic)
-            limits[finite_inc] = (ub_basic[finite_inc] - self.xb[finite_inc]) / rate[finite_inc]
+            np.divide(self.xb, -rate, out=limits, where=rate < -_PIVOT_TOL)
+            np.divide(ub_basic - self.xb, rate, out=limits, where=rate > _PIVOT_TOL)
             own = self.upper[j]  # range between the variable's two bounds
             row_min = float(limits.min(initial=np.inf))
             t_star = min(row_min, own)
             if not np.isfinite(t_star):
                 return "unbounded"
+            degenerate = degenerate + 1 if t_star <= 0 else 0
             if own <= row_min:
                 # bound flip: variable crosses to its opposite bound
                 self.xb = self.xb + own * rate
@@ -162,7 +182,7 @@ class _Tableau:
             self.xb = self.xb + t_star * rate
             entering_value = t_star if increasing else self.upper[j] - t_star
             # leaving variable exits at whichever of its bounds blocked
-            self.at_upper[leaving] = bool(inc[r])
+            self.at_upper[leaving] = rate[r] > _PIVOT_TOL
             self.xb[r] = entering_value
             self.at_upper[j] = False
             row = self.t[r] / self.t[r, j]
@@ -171,6 +191,8 @@ class _Tableau:
             self.t -= np.outer(factors, row)
             self.t[r] = row
             self.basis[r] = j
+            is_basic[leaving], is_basic[j] = False, True
+            ub_basic[r] = own
         raise RuntimeError("simplex iteration limit exceeded")
 
 
@@ -277,6 +299,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     status = tab.run(cost, max_iter=20000 + 50 * (tab.m + n_cols))
     if status == "unbounded":
         return LpSolution(status="unbounded")
+    tab.resolve_basics(mat[keep_rows], b[keep_rows])
     return _finish(problem, tab.solution(), recover, const, sign)
 
 

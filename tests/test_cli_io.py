@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import drci.dro_solvers
 from drci import cli_io
 from drci.cli_io import ColumnMap, Report, RunConfig, load_csv, main, run, sweep
 from drci.distributions import Dataset
-from drci.dro_solvers import distributional_att_bound, minimal_achievable_ks
+from drci.dro_solvers import (SensitivityConfig, distributional_att_bound,
+                               minimal_achievable_ks)
 
 FIXTURE = """y,t
 0,0
@@ -389,6 +391,24 @@ class TestMain:
     def test_error_exit_one(self, capsys):
         code = main(["att", "--input", "/nonexistent.csv"])
         assert code == 1
+
+    @pytest.mark.parametrize("knob,value", [
+        ("gamma", math.nan), ("epsilon", math.nan), ("balance_lambda", math.nan),
+        ("balance_epsilon", math.nan), ("m", 2.5),
+    ])
+    def test_nan_or_fractional_knob_exit_one(self, fixture_csv, tmp_path, capsys,
+                                             knob, value):
+        with pytest.raises(ValueError, match=knob):
+            SensitivityConfig(**{knob: value})
+        if knob == "m":  # --m parses integers only; a config file passes 2.5 on
+            conf = tmp_path / "cfg.json"
+            conf.write_text(json.dumps({knob: value}))
+            flags = ["--config", str(conf)]
+        else:
+            flags = ["--" + knob.replace("_", "-"), str(value)]
+        code = main(["att", "--input", fixture_csv, "--model", "marginal", *flags])
+        assert code == 1
+        assert knob in capsys.readouterr().err
 
     def test_lp_failure_exit_one(self, tmp_path, capsys, monkeypatch):
         def failing_solve_lp(problem):

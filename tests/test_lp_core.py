@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import drci.dro_solvers
+import drci.lp_core
 from drci.distributions import Dataset
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
-from drci.lp_core import LpProblem, LpSolution, solve_lp
+from drci.lp_core import LpProblem, LpSolution, _Tableau, solve_lp
 
 from oracles import highs_solve, vertex_solve
 
@@ -113,6 +114,54 @@ class TestAgainstVertexOracle:
                 assert np.max(np.abs(prob.a_eq @ sol.x - prob.b_eq)) <= 1e-8
             assert np.all(sol.x >= prob.lower - 1e-9)
             assert np.all(sol.x <= prob.upper + 1e-9)
+
+
+class TestAntiCycling:
+    # Beale (1955): min -3/4 x0 + 20 x1 - 1/2 x2 + 6 x3 over x >= 0 with two
+    # rows through the origin and x2 <= 1; from the slack basis, pure
+    # largest-reduced-cost pricing cycles through degenerate pivots forever
+    C = np.array([-0.75, 20.0, -0.5, 6.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    B = np.array([0.0, 0.0, 1.0])
+
+    def _run_from_slack_basis(self):
+        tab = _Tableau(np.hstack([self.A, np.eye(3)]), self.B.copy(), np.full(7, np.inf))
+        tab.basis = np.arange(4, 7)
+        cost = np.concatenate([self.C, np.zeros(3)])
+        status = tab.run(cost, max_iter=500)
+        return status, float(cost[tab.basis] @ tab.xb)
+
+    def test_beale_terminates_at_oracle_optimum(self):
+        prob = LpProblem(c=self.C, a_ub=self.A, b_ub=self.B, lower=np.zeros(4))
+        _, val, _ = vertex_solve(prob.c, prob.a_ub, prob.b_ub, lower=prob.lower)
+        assert val == pytest.approx(-1.25, abs=1e-12)
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(val, abs=1e-9)
+        status, value = self._run_from_slack_basis()
+        assert status == "optimal"
+        assert value == pytest.approx(val, abs=1e-9)
+
+    def test_beale_cycles_without_the_bland_fallback(self, monkeypatch):
+        # the fallback is what ends the degenerate run above
+        monkeypatch.setattr(drci.lp_core, "_BLAND_AFTER", 10**9)
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            self._run_from_slack_basis()
+
+    def test_pure_bland_gives_the_same_objectives(self, monkeypatch):
+        # the problems of TestAgainstVertexOracle.test_random_boxed_problems
+        rng = np.random.default_rng(11)
+        problems = [_random_problem(rng) for _ in range(400)]
+        fast = [solve_lp(p) for p in problems]
+        monkeypatch.setattr(drci.lp_core, "_BLAND_AFTER", 0)
+        checked = 0
+        for prob, sol in zip(problems, fast):
+            bland = solve_lp(prob)
+            assert bland.status == sol.status
+            if sol.status == "optimal":
+                assert bland.objective_value == pytest.approx(sol.objective_value, abs=1e-8)
+                checked += 1
+        assert checked > 100
 
 
 class TestDeterminism:
@@ -233,6 +282,46 @@ class TestPhaseOneExit:
         assert problems
         for prob in problems:
             assert _assert_matches_highs(prob).status == "optimal"
+
+
+def _empirical_sample(n0, n1=185, k=7, seed=1):
+    """A synthetic sample of the shape of the paper's empirical study (a
+    large survey control group, 185 treated, seven covariates): normal
+    covariates that confound treatment and a linear outcome."""
+    rng = np.random.default_rng(seed)
+    n = n0 + n1
+    x = np.round(rng.normal(size=(n, k)), 6)
+    t = np.zeros(n, dtype=np.int64)
+    t[np.argsort(-(0.5 * x[:, 0] + rng.gumbel(size=n)), kind="stable")[:n1]] = 1
+    y = np.round(x @ np.linspace(1.0, -0.5, k) + 0.5 * t + rng.normal(size=n), 6)
+    return Dataset(y=y, t=t, x=x)
+
+
+class TestEmpiricalShape:
+    def test_balance_lp_matches_highs(self, monkeypatch):
+        # the first per-shift LP of the balance route at n0 = 1000, m = 50,
+        # balance_lambda = 1000: 71 rows over 1007 boxed columns
+        problems = []
+
+        def record(problem):
+            problems.append(problem)
+            return LpSolution(status="infeasible")
+
+        monkeypatch.setattr(drci.dro_solvers, "solve_lp", record)
+        distributional_att_bound(_empirical_sample(1000), SensitivityConfig(
+            gamma=2.0, delta=0.1, m=50, balance_lambda=1000.0))
+        prob = problems[0]
+        assert prob.n_vars == 1007
+        sol = solve_lp(prob)
+        status, val, _ = highs_solve(
+            prob.c, prob.a_ub, prob.b_ub, prob.a_eq, prob.b_eq,
+            prob.lower, prob.upper, sense=prob.sense,
+        )
+        assert sol.status == status == "optimal"
+        assert np.max(prob.a_ub @ sol.x - prob.b_ub) <= 1e-8
+        assert np.max(np.abs(prob.a_eq @ sol.x - prob.b_eq)) <= 1e-8
+        assert np.all((prob.lower <= sol.x) & (sol.x <= prob.upper))
+        assert abs(sol.objective_value - val) <= 1e-9 * (1.0 + abs(val))
 
 
 def test_solution_dataclass_defaults():
