@@ -27,7 +27,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .distributions import Dataset
-from .dro_solvers import BoundResult, SensitivityConfig, _att_bound, atc_bound
+from .dro_solvers import (BoundResult, SensitivityConfig, _att_bound, _distributional_sweep,
+                          atc_bound)
 from .extensions import cic_att_bound, did_att_bound, iv_att_bound
 from .synthetic import Scenario, run_monte_carlo
 
@@ -380,31 +381,43 @@ def _report_weights(result: BoundResult) -> dict[str, float]:
 
 
 def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None) -> str:
-    """CSV table over the gamma x delta grid, both directions per cell."""
+    """CSV table over the gamma x delta grid, both directions per cell.
+
+    The distributional model without balance terms solves the whole grid
+    from one solve plan, one shift solve per cell for both directions; the
+    other models solve each bound on its own.
+    """
     if not gamma_list or not delta_list:
         raise ValueError("sweep needs nonempty gamma and delta grids")
+    gammas, deltas = [float(g) for g in gamma_list], [float(d) for d in delta_list]
+    # every cell's knobs are checked before any solve
+    cells = [replace(config, gamma=g, delta=d).sensitivity()
+             for g in gammas for d in deltas]
     if data is None:
         if config.input is None:
             raise ValueError("no input file configured")
         data = load_csv(config.input, config.columns)
     if config.log_outcome:
         data = _log_transform(data, config.log_offset)
+    if config.model == "distributional" and not cells[0].wants_balance:
+        bounds = _distributional_sweep(data, cells[0], gammas, deltas)
+    else:
+        bounds = ((_att_bound(data, config.model, replace(cell, direction="lower")),
+                   _att_bound(data, config.model, replace(cell, direction="upper")))
+                  for cell in cells)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["gamma", "delta", "lower", "upper",
                      "se_lower", "se_upper", "status"])
-    for g in gamma_list:
-        for d in delta_list:
-            cell = replace(config, gamma=float(g), delta=float(d)).sensitivity()
-            low = _att_bound(data, config.model, replace(cell, direction="lower"))
-            high = _att_bound(data, config.model, replace(cell, direction="upper"))
-            status = "optimal" if (low.status == "optimal" and
-                                   high.status == "optimal") else "infeasible"
-            writer.writerow([
-                f"{g:g}", f"{d:g}",
-                _fmt(low.estimate), _fmt(high.estimate),
-                _fmt(low.se), _fmt(high.se), status,
-            ])
+    grid = ((g, d) for g in gamma_list for d in delta_list)
+    for (g, d), (low, high) in zip(grid, bounds):
+        status = "optimal" if (low.status == "optimal" and
+                               high.status == "optimal") else "infeasible"
+        writer.writerow([
+            f"{g:g}", f"{d:g}",
+            _fmt(low.estimate), _fmt(high.estimate),
+            _fmt(low.se), _fmt(high.se), status,
+        ])
     return buf.getvalue()
 
 

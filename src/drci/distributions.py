@@ -227,14 +227,15 @@ def _column_extremes(idx: np.ndarray, values: np.ndarray):
             np.minimum.reduceat(values, starts, axis=-1))
 
 
-def _bands(ctrl, target: WeightedEcdf, grid: ShiftGrid, ks_mode: str) -> _Bands:
+def _bands(atoms: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
+           ks_mode: str) -> _Bands:
     """Breakpoint bands of the double-grid KS constraint (at most 2m+3
     columns, shared by every shift) or of the exact one (every column), for
-    any CDF on the atoms ``ctrl.atoms``, the only attribute read."""
-    k, n_shifts = ctrl.atoms.size, grid.shifts.size
+    any CDF on the ascending distinct ``atoms``."""
+    k, n_shifts = atoms.size, grid.shifts.size
     if ks_mode == "grid" and not grid.degenerate:
         m, eps = grid.m, grid.epsilon
-        idx = np.searchsorted(ctrl.atoms, grid.anchor + np.arange(2 * m + 1) * eps,
+        idx = np.searchsorted(atoms, grid.anchor + np.arange(2 * m + 1) * eps,
                               side="right")
         f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
         tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
@@ -245,9 +246,9 @@ def _bands(ctrl, target: WeightedEcdf, grid: ShiftGrid, ks_mode: str) -> _Bands:
         return bands
     bands = _Bands.unconstrained(np.arange(k + 1), n_shifts)
     for j, c in enumerate(grid.shifts):
-        pts = np.union1d(ctrl.atoms, target.atoms - c)
+        pts = np.union1d(atoms, target.atoms - c)
         hit, t_max, t_min = _column_extremes(
-            np.searchsorted(ctrl.atoms, pts, side="right"), target.cdf(pts + c)
+            np.searchsorted(atoms, pts, side="right"), target.cdf(pts + c)
         )
         bands.top[j, hit], bands.bottom[j, hit] = t_max, t_min
     return bands
@@ -273,7 +274,7 @@ def min_shift_ks(
     if mode not in ("grid", "exact_atoms"):
         raise ValueError(f"unknown mode {mode!r}")
     shifts = grid.shifts
-    bands = _bands(f, g, grid, mode)
+    bands = _bands(f.atoms, g, grid, mode)
     cum = np.concatenate(([0.0], f.cum))[bands.cols]
     dists = np.maximum(bands.top - cum, cum - bands.bottom).max(axis=1)
     # lexicographic tie-break: distance, |shift|, shift

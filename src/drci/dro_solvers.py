@@ -17,16 +17,27 @@ binds the cumulative weight only at a few breakpoint columns: in grid mode
 the columns of the 2m+1 evaluation points, which are the same for every
 shift, plus the pinned first and last column (L <= 2m+3 in all); in exact
 mode every column.  The bands live in :mod:`drci.distributions`, whose
-``min_shift_ks`` reads the same ones; every route here and in
-:mod:`drci.extensions` builds them with :func:`_control_bands`.  The
-prefix/suffix scans that find both elements run on the (S, L) breakpoint
-bands, vectorized across all S shifts, and give exactly the values a scan
-over all K atoms gives there.  Between two
-breakpoints the least element fills the bucket's mass greedily from its top
-atom and the greatest from its bottom atom, so both weighted means follow
-in closed form from prefix sums of the capacities and capacity-weighted
-outcomes.  Only the chosen shift's allocation is expanded to the K atoms.
-A grid-mode solve thus costs O(K log K + m L) time and memory, not O(m K).
+``min_shift_ks`` reads the same ones.  The prefix/suffix scans that find
+both elements run on the (S, L) breakpoint bands, vectorized across all S
+shifts, and give exactly the values a scan over all K atoms gives there.
+Between two breakpoints the least element fills the bucket's mass greedily
+from its top atom and the greatest from its bottom atom, so both weighted
+means follow in closed form from prefix sums of the capacities and
+capacity-weighted outcomes.  Only the chosen shift's allocation is expanded
+to the K atoms.  A grid-mode solve thus costs O(K log K + m L) time and
+memory, not O(m K).
+
+A solve is split into a plan and an evaluation.  The plan
+(:class:`_SolvePlan`, built only by :func:`_control_bands`) depends on
+neither ``gamma`` nor ``delta``: it holds the shift grid, the distinct
+control atoms with their counts, and the KS bands.  An evaluation caps the
+atoms at one ``gamma`` (:meth:`_SolvePlan.capped`) and runs one
+:func:`_shift_solve` at one ``delta``, which serves both directions.  Every
+distributional route here and in :mod:`drci.extensions` takes this path.  A
+single bound builds its plan and evaluates it once; a (gamma, delta) sweep
+builds one plan and evaluates it per cell; the Monte Carlo bias table builds
+one per replicate and reads only the lower bound's value, with no weights.
+
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
 one LP per shift with band rows at the breakpoints.  The balance-free kernel
 on the same bands screens out the shifts with no feasible weights and bounds
@@ -89,9 +100,9 @@ class SensitivityConfig:
     ks_mode: str = "grid"
 
     def __post_init__(self):
-        # written as `not x >= a` so that NaN fails them too
-        if not self.gamma >= 1:
-            raise ValueError("gamma must be >= 1")
+        # written as `not a <= x ...` so that NaN fails them too
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
         if not 0 <= self.delta <= 1:
             raise ValueError("delta must be in [0, 1]")
         if not self.epsilon >= 0:
@@ -100,8 +111,8 @@ class SensitivityConfig:
             raise ValueError("lambda_tv must be in [0, 1]")
         if not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError("m must be a positive integer")
-        if not self.balance_lambda >= 0:
-            raise ValueError("balance_lambda must be nonnegative")
+        if not 0 <= self.balance_lambda < math.inf:
+            raise ValueError("balance_lambda must be finite and nonnegative")
         if self.balance_epsilon is not None and not self.balance_epsilon >= 0:
             raise ValueError("balance_epsilon must be nonnegative")
         if self.direction not in ("lower", "upper"):
@@ -206,20 +217,33 @@ class _ControlAtoms:
     cum_caps: np.ndarray     # (K+1,) [0, cumsum(caps)], caps = count * gamma / n0
     cum_moments: np.ndarray  # (K+1,) [0, cumsum(caps * (atoms - atoms[0]))]
 
-    @classmethod
-    def build(cls, control_y: np.ndarray, cap_per_unit: float) -> "_ControlAtoms":
-        atoms, inverse, counts = np.unique(
-            control_y, return_inverse=True, return_counts=True
-        )
-        caps = counts * cap_per_unit
-        return cls(atoms=atoms, counts=counts, inverse=inverse,
-                   cum_caps=np.concatenate(([0.0], np.cumsum(caps))),
-                   cum_moments=np.concatenate(
-                       ([0.0], np.cumsum(caps * (atoms - atoms[0])))))
-
     def unit_weights(self, masses: np.ndarray) -> np.ndarray:
         """Split per-atom masses equally among the atom's units."""
         return (masses / self.counts)[self.inverse]
+
+
+@dataclass(frozen=True)
+class _SolvePlan:
+    """The part of a distributional solve that depends on neither ``gamma``
+    nor ``delta``: the shift grid, the distinct control atoms (``atoms``,
+    ``counts``, ``inverse`` as :func:`numpy.unique` returns them) and the KS
+    bands of every shift at their breakpoint columns."""
+
+    grid: ShiftGrid
+    atoms: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+    bands: _Bands
+
+    def capped(self, gamma: float) -> _ControlAtoms:
+        """The atoms with capacity ``gamma`` / n0 per unit."""
+        atoms = self.atoms
+        # caps from gamma itself: rescaling a gamma = 1 cumsum rounds differently
+        caps = self.counts * (gamma / self.inverse.size)
+        return _ControlAtoms(atoms=atoms, counts=self.counts, inverse=self.inverse,
+                             cum_caps=np.concatenate(([0.0], np.cumsum(caps))),
+                             cum_moments=np.concatenate(
+                                 ([0.0], np.cumsum(caps * (atoms - atoms[0])))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,53 +340,63 @@ class _ShiftSolve:
     """Feasibility and attainable weighted-mean ranges for every shift.
 
     The extreme allocations are kept as their cumulative weights at the
-    breakpoint columns ``cols[1:]``; ``cum_caps`` expands one to all atoms.
+    breakpoint columns ``cols[1:]``; ``ctrl.cum_caps`` expands one to all
+    atoms.  Each weighted-mean range end is computed on first access, so a
+    caller that needs one direction pays for one.
     """
 
-    feasible: np.ndarray
-    obj_min: np.ndarray
-    obj_max: np.ndarray
+    ctrl: _ControlAtoms
     cols: np.ndarray
-    cum_caps: np.ndarray
+    feasible: np.ndarray
     c_least: np.ndarray
     c_great: np.ndarray
+
+    @cached_property
+    def obj_min(self) -> np.ndarray:
+        return _bucket_means(self.ctrl, self.cols, self.c_great, from_top=False)
+
+    @cached_property
+    def obj_max(self) -> np.ndarray:
+        return _bucket_means(self.ctrl, self.cols, self.c_least, from_top=True)
 
     def masses_for(self, idx: int, value: float, atoms: np.ndarray) -> np.ndarray:
         """Masses on ``atoms`` attaining ``value`` at shift ``idx`` (blend of
         the two extreme allocations; any intermediate mean is attainable)."""
+        cum_caps = self.ctrl.cum_caps
         v_hi = _masses(_bucket_cumulative(self.cols, self.c_least[idx],
-                                          self.cum_caps, from_top=True))
+                                          cum_caps, from_top=True))
         f_max, f_min = self.obj_max[idx], self.obj_min[idx]
         if f_max - f_min <= _TIE_TOL:
             return v_hi
         v_lo = _masses(_bucket_cumulative(self.cols, self.c_great[idx],
-                                          self.cum_caps, from_top=False))
+                                          cum_caps, from_top=False))
         lam = np.clip((value - f_min) / (f_max - f_min), 0.0, 1.0)
         return lam * v_hi + (1.0 - lam) * v_lo
 
 
 def _control_bands(control_y: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
-                   gamma: float, ks_mode: str) -> tuple[_ControlAtoms, _Bands]:
-    """The control atoms (capacity ``gamma`` / n0 per unit) and the KS bands
-    of every grid shift at their breakpoint columns."""
-    ctrl = _ControlAtoms.build(control_y, gamma / control_y.size)
-    return ctrl, _bands(ctrl, target, grid, ks_mode)
+                   ks_mode: str) -> _SolvePlan:
+    """The solve plan of ``control_y`` against the ``target`` CDF: the
+    distinct control atoms and the KS bands of every grid shift."""
+    atoms, inverse, counts = np.unique(control_y, return_inverse=True,
+                                       return_counts=True)
+    return _SolvePlan(grid=grid, atoms=atoms, counts=counts, inverse=inverse,
+                      bands=_bands(atoms, target, grid, ks_mode))
+
+
+def _distributional_plan(data: Dataset, m: int, ks_mode: str) -> _SolvePlan:
+    """The solve plan of the ATT models: the controls against the treated
+    ECDF on the grid of resolution ``m`` over all outcomes."""
+    return _control_bands(data.control_y, ecdf(data.treated_y),
+                          shift_grid(data.y, m), ks_mode)
 
 
 def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
                  hi: np.ndarray) -> _ShiftSolve:
     """Solve the per-shift weighted-mean extremes for every shift, with the
     cumulative weight at ``bands.cols`` held in ``[lo, hi]`` (S, L)."""
-    feasible, c_least, c_great = _breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols])
-    return _ShiftSolve(
-        feasible=feasible,
-        obj_min=_bucket_means(ctrl, bands.cols, c_great, from_top=False),
-        obj_max=_bucket_means(ctrl, bands.cols, c_least, from_top=True),
-        cols=bands.cols,
-        cum_caps=ctrl.cum_caps,
-        c_least=c_least,
-        c_great=c_great,
-    )
+    return _ShiftSolve(ctrl, bands.cols,
+                       *_breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols]))
 
 
 def _select_shift(values: np.ndarray, ok: np.ndarray, shifts: np.ndarray,
@@ -388,8 +422,8 @@ def marginal_att_bound(data: Dataset, gamma: float, direction: str = "lower") ->
     fractional-knapsack: saturate extreme weights in outcome order, leaving
     at most one fractional weight.
     """
-    if not gamma >= 1:
-        raise ValueError("gamma must be >= 1")
+    if not 1 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 1")
     _check_direction(direction)
     y0 = data.control_y
     n0 = y0.size
@@ -494,31 +528,69 @@ def _distributional_core(
     if config.wants_balance:
         return _distributional_lp_route(data, config, mean_window, treated_mean, warnings)
 
-    grid = shift_grid(data.y, config.m)
-    ctrl, bands = _control_bands(data.control_y, ecdf(data.treated_y), grid,
-                                 config.gamma, config.ks_mode)
-    solve = _shift_solve(ctrl, bands, *bands.at(config.delta))
+    plan = _distributional_plan(data, config.m, config.ks_mode)
+    solve = _shift_solve(plan.capped(config.gamma), plan.bands,
+                         *plan.bands.at(config.delta))
+    return _bound_from_solve(data, plan.grid.shifts, solve, config.direction,
+                             mean_window, treated_mean, warnings)
 
+
+def _bound_from_solve(data: Dataset, shifts: np.ndarray, solve: _ShiftSolve,
+                      direction: str, mean_window: tuple[float, float] | None,
+                      treated_mean: float, warnings: tuple[str, ...] = ()) -> BoundResult:
+    """The bound in ``direction`` from one shift solve: the best feasible
+    shift, its weights expanded to the control units, and their SE."""
+    maximize = direction == "lower"
     ok = solve.feasible
-    lo_val, hi_val = solve.obj_min.copy(), solve.obj_max.copy()
+    values = solve.obj_max if maximize else solve.obj_min
     if mean_window is not None:
         wlo, whi = mean_window
         ok = ok & (solve.obj_max >= wlo - _TOL) & (solve.obj_min <= whi + _TOL)
-        lo_val = np.maximum(lo_val, wlo)
-        hi_val = np.minimum(hi_val, whi)
+        values = np.minimum(values, whi) if maximize else np.maximum(values, wlo)
 
-    maximize = config.direction == "lower"
-    values = hi_val if maximize else lo_val
-    pick = _select_shift(values, ok, grid.shifts, maximize)
+    pick = _select_shift(values, ok, shifts, maximize)
     if pick is None:
-        return _infeasible(config.direction, treated_mean, warnings)
+        return _infeasible(direction, treated_mean, warnings)
     value = float(values[pick])
-    masses = solve.masses_for(pick, value, ctrl.atoms)
-    w = ctrl.unit_weights(masses)
+    w = solve.ctrl.unit_weights(solve.masses_for(pick, value, solve.ctrl.atoms))
     return _optimal_result(
-        data, config.direction, w, value, treated_mean,
-        float(grid.shifts[pick]), warnings,
+        data, direction, w, value, treated_mean, float(shifts[pick]), warnings,
     )
+
+
+def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
+                          deltas):
+    """Yield ``(lower, upper)``, each the :func:`distributional_att_bound`
+    result bit for bit, for every (gamma, delta) in row-major order, with
+    the other knobs from the balance-free ``config``.  One plan serves the
+    whole grid: one capped atom set per gamma, one shift solve per cell."""
+    plan = _distributional_plan(data, config.m, config.ks_mode)
+    treated_mean = float(data.treated_y.mean())
+    for gamma in gammas:
+        ctrl = plan.capped(gamma)
+        for delta in deltas:
+            solve = _shift_solve(ctrl, plan.bands, *plan.bands.at(delta))
+            yield tuple(_bound_from_solve(data, plan.grid.shifts, solve, direction,
+                                          None, treated_mean)
+                        for direction in ("lower", "upper"))
+
+
+def _distributional_lower_estimates(data: Dataset, gammas, delta: float, m: int,
+                                    ks_mode: str) -> list[float]:
+    """``distributional_att_bound(...).estimate`` of the lower bound at each
+    of ``gammas``, bit for bit (NaN where infeasible), from one plan and one
+    scan per gamma.  Only the lower bound's weighted means are computed; no
+    weights, SE or :class:`BoundResult` are built."""
+    plan = _distributional_plan(data, m, ks_mode)
+    treated_mean = float(data.treated_y.mean())
+    lo, hi = plan.bands.at(delta)
+    out = []
+    for gamma in gammas:
+        solve = _shift_solve(plan.capped(gamma), plan.bands, lo, hi)
+        pick = _select_shift(solve.obj_max, solve.feasible, plan.grid.shifts, True)
+        out.append(math.nan if pick is None
+                   else treated_mean - float(solve.obj_max[pick]))
+    return out
 
 
 def _distributional_lp_route(
@@ -544,9 +616,8 @@ def _distributional_lp_route(
     gives.
     """
     y0 = data.control_y
-    grid = shift_grid(data.y, config.m)
-    ctrl, bands = _control_bands(y0, ecdf(data.treated_y), grid, config.gamma,
-                                 config.ks_mode)
+    plan = _distributional_plan(data, config.m, config.ks_mode)
+    ctrl, bands = plan.capped(config.gamma), plan.bands
 
     bal = balance_terms(data, config.balance_lambda)
     maximize = config.direction == "lower"
@@ -564,7 +635,7 @@ def _distributional_lp_route(
         feasible &= (obj_max >= wlo - reach) & (obj_min <= whi + reach)
     # bounds on each shift's LP value, oriented so that smaller is better
     bound = -obj_max if maximize else obj_min
-    shifts = grid.shifts
+    shifts = plan.grid.shifts
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((shifts[cand], np.abs(shifts[cand]), bound[cand]))]
 
@@ -721,8 +792,8 @@ class BalanceTerms:
 
 
 def balance_terms(data: Dataset, lam: float) -> BalanceTerms:
-    if not lam >= 0:
-        raise ValueError("balance penalty must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("balance penalty must be finite and nonnegative")
     if data.x is None or data.covariate_dim == 0:
         raise ValueError("dataset carries no covariates")
     treated = data.x[data.t == 1]
@@ -807,9 +878,9 @@ def minimal_achievable_ks(
     SensitivityConfig(gamma=gamma, m=m, ks_mode=ks_mode)  # validates the knobs
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    ctrl, bands = _control_bands(data.control_y, ecdf(data.treated_y),
-                                 shift_grid(data.y, m), gamma, ks_mode)
-    p = ctrl.cum_caps[bands.cols]
+    plan = _distributional_plan(data, m, ks_mode)
+    bands = plan.bands
+    p = plan.capped(gamma).cum_caps[bands.cols]
 
     def feasible(delta: float) -> bool:
         return bool(_breakpoint_extremes(*bands.at(delta), p)[0].any())

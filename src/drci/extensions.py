@@ -192,10 +192,11 @@ def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
     eps = config.epsilon
     solved = []
     for arm in (z, 1 - z):
-        ctrl, bands = _control_bands(strata.outcomes[(0, arm)], strata.treated_ecdf[z],
-                                     grid, config.gamma, config.ks_mode)
-        solved.append((ctrl, _shift_solve(ctrl, bands, *bands.at(config.delta))))
-    (ctrl_main, main), (_, other) = solved
+        plan = _control_bands(strata.outcomes[(0, arm)], strata.treated_ecdf[z],
+                              grid, config.ks_mode)
+        solved.append(_shift_solve(plan.capped(config.gamma), plan.bands,
+                                   *plan.bands.at(config.delta)))
+    main, other = solved
 
     # attainable-interval coupling: the pair is feasible iff the main
     # interval meets the other interval inflated by eps
@@ -217,5 +218,5 @@ def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
     pick = int(cand[order[0]])
     j1 = pick // n_sh
     mu_star = float(flat_val[pick])
-    masses = main.masses_for(j1, mu_star, ctrl_main.atoms)
-    return mu_star, ctrl_main.unit_weights(masses)
+    masses = main.masses_for(j1, mu_star, main.ctrl.atoms)
+    return mu_star, main.ctrl.unit_weights(masses)

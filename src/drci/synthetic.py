@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Dataset
-from .dro_solvers import SensitivityConfig, distributional_att_bound
+from .dro_solvers import SensitivityConfig, _distributional_lower_estimates
 
 __all__ = [
     "Scenario",
@@ -135,15 +135,26 @@ def run_monte_carlo(
 
     Solver infeasibility (possible for the distributional model at small
     ``delta``) drops that replication from the affected cell only; the
-    ``replications`` column reports the count actually aggregated.
+    ``replications`` column reports the count actually aggregated.  The
+    knobs are checked up front as :class:`SensitivityConfig` checks them,
+    for every model; ``models`` and ``gammas`` must be nonempty and hold no
+    repeats.  The distributional cells are the lower
+    :func:`~drci.dro_solvers.distributional_att_bound` estimates, computed
+    from one solve plan per replication without weights or standard errors.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
     models = tuple(models)
+    gammas = tuple(float(g) for g in gammas)
+    if not models or not gammas:
+        raise ValueError("need at least one model and one gamma")
     for model in models:
         if model not in _MODELS:
             raise ValueError(f"unknown model {model!r}")
-    gammas = tuple(float(g) for g in gammas)
+    for g in gammas:
+        SensitivityConfig(gamma=g, delta=delta, m=m, ks_mode=ks_mode)
+    if len(set(models)) < len(models) or len(set(gammas)) < len(gammas):
+        raise ValueError("models and gammas must not repeat")
     truth = true_att(s)
 
     estimates: dict[tuple[str, float], list[float]] = {
@@ -151,17 +162,14 @@ def run_monte_carlo(
     }
     for rep in range(reps):
         data = generate_scenario(s, n, (seed, rep))
-        for g in gammas:
-            for model in models:
-                if model == "marginal":
-                    estimates[(model, g)].append(_capped_marginal_lower(data, g))
-                    continue
-                config = SensitivityConfig(
-                    gamma=g, delta=delta, m=m, ks_mode=ks_mode
-                )
-                result = distributional_att_bound(data, config)
-                if result.status == "optimal":
-                    estimates[(model, g)].append(result.estimate)
+        for model in models:
+            if model == "marginal":
+                values = [_capped_marginal_lower(data, g) for g in gammas]
+            else:
+                values = _distributional_lower_estimates(data, gammas, delta, m, ks_mode)
+            for g, value in zip(gammas, values):
+                if not math.isnan(value):  # NaN: infeasible
+                    estimates[(model, g)].append(value)
 
     rows = []
     for model in models:

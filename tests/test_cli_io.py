@@ -333,6 +333,60 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(config, [], [0.1])
 
+    @pytest.mark.parametrize("ks_mode,m", [("grid", 30), ("exact_atoms", 8)])
+    def test_cells_bit_identical_to_separate_bounds(self, monkeypatch, ks_mode, m):
+        # earnings-scale outcomes rounded to 100, a third of them zero, so
+        # most control atoms are tied
+        rng = np.random.default_rng(70)
+        n = 2000
+        t = (rng.random(n) < 0.3).astype(int)
+        raw = np.round(np.exp(rng.normal(9.6 + 0.1 * t, 0.75, n)) / 100.0) * 100.0
+        y = np.where(rng.random(n) < 0.3, 0.0, raw)
+        data = Dataset(y=y, t=t)
+        gammas, deltas = [1.0, 2.0, 4.0], [0.0, 0.02, 0.2]
+        seen = []
+
+        def recording(*args):
+            for pair in drci.dro_solvers._distributional_sweep(*args):
+                seen.append(pair)
+                yield pair
+
+        monkeypatch.setattr(cli_io, "_distributional_sweep", recording)
+        config = RunConfig(command="sweep", model="distributional", m=m,
+                           ks_mode=ks_mode)
+        rows = sweep(config, gammas, deltas, data).splitlines()[1:]
+        assert len(seen) == len(rows) == 9
+        statuses = set()
+        for (g, d), pair in zip([(g, d) for g in gammas for d in deltas], seen):
+            for got, direction in zip(pair, ("lower", "upper")):
+                want = distributional_att_bound(data, SensitivityConfig(
+                    gamma=g, delta=d, m=m, ks_mode=ks_mode, direction=direction))
+                statuses.add(want.status)
+                assert got.status == want.status
+                assert got.direction == want.direction
+                assert got.active_shift == want.active_shift
+                np.testing.assert_array_equal(
+                    [got.estimate, got.se], [want.estimate, want.se], strict=True)
+                np.testing.assert_array_equal(got.weight_index, want.weight_index,
+                                              strict=True)
+                np.testing.assert_array_equal(got.weight_values, want.weight_values,
+                                              strict=True)
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_marginal_cells_match_separate_bounds(self, fixture_csv):
+        config = RunConfig(command="sweep", model="marginal", input=fixture_csv)
+        data = load_csv(fixture_csv)
+        gammas, deltas = [1.0, 3.0], [0.1, 0.5]
+        rows = sweep(config, gammas, deltas).splitlines()[1:]
+        expected = []
+        for g in gammas:
+            low, up = (drci.dro_solvers.marginal_att_bound(data, g, direction)
+                       for direction in ("lower", "upper"))
+            for d in deltas:
+                expected.append(f"{g:g},{d:g},{low.estimate:.6f},{up.estimate:.6f},"
+                                f"{low.se:.6f},{up.se:.6f},optimal")
+        assert rows == expected
+
 
 class TestMain:
     def test_att_exit_zero(self, fixture_csv, capsys):
@@ -394,7 +448,8 @@ class TestMain:
 
     @pytest.mark.parametrize("knob,value", [
         ("gamma", math.nan), ("epsilon", math.nan), ("balance_lambda", math.nan),
-        ("balance_epsilon", math.nan), ("m", 2.5),
+        ("balance_epsilon", math.nan), ("m", 2.5), ("gamma", math.inf),
+        ("balance_lambda", math.inf),
     ])
     def test_nan_or_fractional_knob_exit_one(self, fixture_csv, tmp_path, capsys,
                                              knob, value):

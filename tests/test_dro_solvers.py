@@ -63,6 +63,11 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal_att_bound(FIVE_UNITS, 0.9, "lower")
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            marginal_att_bound(FIVE_UNITS, gamma, "lower")
+
     def test_result_invariants(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -543,6 +548,9 @@ class TestBalance:
         data = _covariate_dataset()
         with pytest.raises(ValueError):
             balance_terms(data, -1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                balance_terms(data, lam)
         with pytest.raises(ValueError):
             balance_terms(FIVE_UNITS, 1.0)
 
@@ -562,10 +570,9 @@ def _every_shift_route(data, cfg, window):
     """The balance route without screen or pruning: one LP per shift whose
     pinned columns allow weights, best (value, |c|, c) key wins.  Returns
     the winner ``(w, shift)`` or None, and the LP verdict per solved shift."""
-    y0 = data.control_y
-    ctrl = ds._ControlAtoms.build(y0, cfg.gamma / y0.size)
     grid = shift_grid(data.y, cfg.m)
-    bands = ds._bands(ctrl, ecdf(data.treated_y), grid, cfg.ks_mode)
+    plan = ds._control_bands(data.control_y, ecdf(data.treated_y), grid, cfg.ks_mode)
+    ctrl, bands = plan.capped(cfg.gamma), plan.bands
     lo, hi = bands.at(cfg.delta)
     bal = balance_terms(data, cfg.balance_lambda)
     best, solved = None, {}
@@ -589,8 +596,9 @@ def _widened_screen(data, cfg, window):
     their weighted-mean range reach the window within the LP's tolerance?
     Also the band rows per shift."""
     y0 = data.control_y
-    ctrl = ds._ControlAtoms.build(y0, cfg.gamma / y0.size)
-    bands = ds._bands(ctrl, ecdf(data.treated_y), shift_grid(data.y, cfg.m), cfg.ks_mode)
+    plan = ds._control_bands(y0, ecdf(data.treated_y), shift_grid(data.y, cfg.m),
+                             cfg.ks_mode)
+    ctrl, bands = plan.capped(cfg.gamma), plan.bands
     lo, hi = bands.at(cfg.delta)
     wide, c_least, c_great = ds._breakpoint_extremes(
         lo - 1e-8, hi + 1e-8, ctrl.cum_caps[bands.cols])
@@ -958,6 +966,8 @@ class TestConfigValidation:
             {"balance_epsilon": -0.5},
             {"direction": "sideways"},
             {"ks_mode": "luck"},
+            {"gamma": math.inf},
+            {"balance_lambda": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

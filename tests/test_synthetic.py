@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import drci.dro_solvers as ds
+from drci.dro_solvers import SensitivityConfig, distributional_att_bound
 from drci.synthetic import Scenario, generate_scenario, run_monte_carlo, true_att
 
 
@@ -87,6 +91,43 @@ class TestRunMonteCarlo:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             run_monte_carlo(Scenario(2, 3, 0.5), 50, 2, ("ipw",), (2.0,), 0.1, 0)
+
+    @pytest.mark.parametrize("bad", [
+        {"gammas": (0.5,)}, {"delta": 7.0}, {"gammas": (math.nan,)},
+        {"gammas": (math.inf,)}, {"m": 0}, {"ks_mode": "luck"}, {"models": ()},
+        {"gammas": ()}, {"gammas": (2.0, 2.0)}, {"models": ("marginal", "marginal")},
+    ], ids=["gamma_below_one", "delta_above_one", "gamma_nan", "gamma_inf", "m_zero",
+            "ks_mode", "no_models", "no_gammas", "repeated_gamma", "repeated_model"])
+    def test_bad_knobs_rejected_for_a_marginal_table(self, bad):
+        # the marginal cells never build a SensitivityConfig of their own
+        args = {"s": Scenario(2, 3, 0.5), "n": 60, "reps": 5, "models": ("marginal",),
+                "gammas": (2.0,), "delta": 0.1, "seed": 0, **bad}
+        with pytest.raises(ValueError):
+            run_monte_carlo(**args)
+
+    @pytest.mark.parametrize("ks_mode,delta", [("grid", 0.03), ("exact_atoms", 0.08)])
+    def test_distributional_cells_are_the_bound_estimates(self, ks_mode, delta):
+        # the value-only path against full solves, replication by
+        # replication, at a delta small enough that some are infeasible
+        s, n, reps, gammas, m = Scenario(2, 3, 0.5), 80, 12, (1.5, 3.0), 10
+        per_gamma = {g: [] for g in gammas}
+        for rep in range(reps):
+            data = generate_scenario(s, n, (49, rep))
+            got = ds._distributional_lower_estimates(data, gammas, delta, m, ks_mode)
+            want = [distributional_att_bound(data, SensitivityConfig(
+                gamma=g, delta=delta, m=m, ks_mode=ks_mode)).estimate for g in gammas]
+            np.testing.assert_array_equal(got, want, strict=True)
+            for g, value in zip(gammas, want):
+                if not math.isnan(value):
+                    per_gamma[g].append(value)
+        table = run_monte_carlo(s, n, reps, ("distributional",), gammas, delta, 49,
+                                m=m, ks_mode=ks_mode)
+        for g, values in per_gamma.items():
+            assert 0 < len(values) < reps
+            row = table.cell("distributional", g)
+            assert row.replications == len(values)
+            assert row.bias == float(np.mean(values) - true_att(s))
+            assert row.sd == float(np.std(values, ddof=1))
 
     @pytest.mark.parametrize("scenario", [Scenario(3, 2, 0.5), Scenario(2, 3, 0.8)])
     def test_distributional_less_conservative_at_high_gamma(self, scenario):
