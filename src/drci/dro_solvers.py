@@ -400,13 +400,14 @@ def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
 
 
 def _select_shift(values: np.ndarray, ok: np.ndarray, shifts: np.ndarray,
-                  maximize: bool) -> int | None:
-    """Index of the best feasible shift; ties go to smallest |c| then c."""
+                  maximize: bool, tol: float = _TIE_TOL) -> int | None:
+    """Index of the best feasible shift; values within ``tol`` of the best
+    tie, and ties go to smallest |c| then c."""
     if not ok.any():
         return None
     masked = np.where(ok, values, -np.inf if maximize else np.inf)
     best = masked.max() if maximize else masked.min()
-    cand = np.flatnonzero(ok & (np.abs(values - best) <= _TIE_TOL))
+    cand = np.flatnonzero(ok & (np.abs(values - best) <= tol))
     order = np.lexsort((shifts[cand], np.abs(shifts[cand])))
     return int(cand[order[0]])
 
@@ -611,9 +612,11 @@ def _distributional_lp_route(
     has no LP solution, and its extreme weighted mean bounds the shift's LP
     value.  Shifts are solved best bound first until no bound left can
     reach the incumbent, and ``_select_shift`` picks among the solved ones
-    as the kernel route does (values within ``_TIE_TOL`` tie, then the
-    smallest |c|, then c), so the result is the one a solve of every shift
-    gives.
+    by the kernel route's rule (the best value, then the smallest |c|, then
+    c), so the result is the one a solve of every shift gives.  Values
+    within ``_TIE_TOL`` times ``1 + max|y0|`` tie: the LP values carry
+    roundoff of the outcome scale, and which of two tied shifts a pivot path
+    favours must not decide the pick.
     """
     y0 = data.control_y
     plan = _distributional_plan(data, config.m, config.ks_mode)
@@ -652,7 +655,8 @@ def _distributional_lp_route(
             continue
         values[j], solved[j] = sol
         best = min(best, -values[j] if maximize else values[j])
-    pick = _select_shift(values, ~np.isnan(values), shifts, maximize)
+    pick = _select_shift(values, ~np.isnan(values), shifts, maximize,
+                         tol=_TIE_TOL * scale)
     if pick is None:
         return _infeasible(config.direction, treated_mean, warnings)
     w = solved[pick]
@@ -663,7 +667,12 @@ def _distributional_lp_route(
 
 
 def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
-    """One per-shift LP over [control weights, balance slacks]."""
+    """One per-shift LP over [control weights, balance slacks].
+
+    The simplex starts from the balance-free kernel's extreme allocation at
+    this shift (the least element filled from the top for the lower bound,
+    the greatest filled from the bottom for the upper), balance slacks at 0.
+    """
     y0 = data.control_y
     n0 = y0.size
     n_aux = bal.n_covariates
@@ -713,6 +722,10 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
             rows_a.append(np.concatenate([-y0, np.zeros(n_aux)]))
             rows_b.append(-wlo)
 
+    _, c_least, c_great = _breakpoint_extremes(lo_row[None, :], hi_row[None, :],
+                                               ctrl.cum_caps[cols])
+    cum = _bucket_cumulative(cols, c_least[0] if maximize else c_great[0],
+                             ctrl.cum_caps, from_top=maximize)
     cap = config.gamma / n0
     problem = LpProblem(
         c=c,
@@ -723,6 +736,7 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
         b_eq=[1.0],
         lower=np.zeros(n0 + n_aux),
         upper=np.concatenate([np.full(n0, min(cap, 1.0)), s_caps]),
+        x0=np.concatenate([ctrl.unit_weights(_masses(cum)), np.zeros(n_aux)]),
     )
     sol = solve_lp(problem)
     if sol.status != "optimal":

@@ -9,9 +9,15 @@ and simplicity.  The basic values of the final basis are recomputed from the
 original rows before the point is certified.
 
 Internally every variable is shifted/flipped/split so that it lives in
-``[0, U]`` with ``U`` possibly infinite; inequality rows get slack columns
-and rows with negative right-hand sides are negated, after which phase 1
-minimizes the sum of artificial variables and phase 2 the real objective.
+``[0, U]`` with ``U`` possibly infinite, and inequality rows get slack
+columns.  The start basis is a slack crash: each column starts at the bound
+nearest to the hint ``LpProblem.x0`` (at 0 without one), and an inequality
+row whose residual at that point is nonnegative starts with its own slack
+basic.  Only the remaining rows, the equalities and the violated
+inequalities, get an artificial variable (the row negated when its residual
+is negative); phase 1 minimizes the sum of those artificials and phase 2 the
+real objective.  The hint changes where the simplex starts, not which LP is
+solved.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
 @dataclass
 class LpProblem:
     """min/max ``c @ x`` s.t. ``a_ub @ x <= b_ub``, ``a_eq @ x = b_eq``,
-    ``lower <= x <= upper`` (defaults: free variables, no rows)."""
+    ``lower <= x <= upper`` (defaults: free variables, no rows).
+
+    ``x0`` is an optional start hint, such as a point near the optimum: each
+    variable starts at the bound nearest to it.  It need not be feasible and
+    does not change the solution's status or objective."""
 
     c: np.ndarray
     sense: str = "min"
@@ -41,6 +51,7 @@ class LpProblem:
     b_eq: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    x0: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -73,11 +84,21 @@ class LpProblem:
         )
         if self.lower.size != n or self.upper.size != n:
             raise ValueError("bounds must match the number of variables")
+        if np.any(np.isnan(self.lower) | np.isnan(self.upper)):
+            raise ValueError("NaN bound")
+        if np.any((self.lower == np.inf) | (self.upper == -np.inf)):
+            raise ValueError("lower bound +inf or upper bound -inf")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
         for arr in (self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
-            if np.any(np.isnan(arr)):
-                raise ValueError("NaN coefficient in problem data")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("non-finite coefficient in problem data")
+        if self.x0 is not None:
+            self.x0 = np.asarray(self.x0, dtype=float)
+            if self.x0.shape != (n,):
+                raise ValueError(f"x0 must have length {n}")
+            if not np.all(np.isfinite(self.x0)):
+                raise ValueError("x0 must be finite")
 
     @property
     def n_vars(self) -> int:
@@ -87,11 +108,15 @@ class LpProblem:
 @dataclass
 class LpSolution:
     """Solver outcome: ``status`` in optimal/infeasible/unbounded; ``x`` and
-    ``objective_value`` are populated only when optimal."""
+    ``objective_value`` are populated only when optimal.  ``phase1_pivots``
+    and ``phase2_pivots`` count the simplex iterations (basis changes and
+    bound flips) of each phase."""
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
 
 class _Tableau:
@@ -106,6 +131,7 @@ class _Tableau:
         self.at_upper = np.zeros(self.n, dtype=bool)
         self.t = a.copy()
         self.xb = b.copy()
+        self.pivots = 0  # iterations of the last run
 
     def nonbasic_value(self, j: int) -> float:
         return self.upper[j] if self.at_upper[j] else 0.0
@@ -142,12 +168,14 @@ class _Tableau:
         The entering column is Dantzig's: the largest |reduced cost|, lowest
         index on ties.  After ``_BLAND_AFTER`` degenerate pivots in a row it is
         Bland's lowest eligible index until a pivot moves the point again, so
-        the simplex cannot cycle.  The leaving row is always Bland's."""
+        the simplex cannot cycle.  The leaving row is always Bland's.  The
+        number of iterations is left in ``pivots``."""
         is_basic = np.zeros(self.n, dtype=bool)
         is_basic[self.basis] = True
         ub_basic = self.upper[self.basis]
         degenerate = 0
-        for _ in range(max_iter):
+        for it in range(max_iter):
+            self.pivots = it
             d = cost - cost[self.basis] @ self.t
             # objective decrease per unit move of each nonbasic column
             # away from its current bound
@@ -197,15 +225,18 @@ class _Tableau:
 
 
 def _normalize(problem: LpProblem):
-    """Rewrite as min cost over y in [0, U] with equality rows A y = b >= 0."""
+    """Rewrite as min cost over y in [0, U] with equality rows A y = b, one
+    slack column per inequality row (the last columns).  Also returns which
+    columns start at their upper bound: those nearer to it than to 0 at the
+    hint ``x0``."""
     n = problem.n_vars
     sign = 1.0 if problem.sense == "min" else -1.0
     c = sign * problem.c
-    lower, upper = problem.lower, problem.upper
+    lower, upper, x0 = problem.lower, problem.upper, problem.x0
     a = np.vstack([problem.a_ub, problem.a_eq])
     b = np.concatenate([problem.b_ub, problem.b_eq])
 
-    cols, costs, ubs, recover = [], [], [], []
+    cols, costs, ubs, recover, start_upper = [], [], [], [], []
     const = 0.0
     for i in range(n):
         lo, hi = lower[i], upper[i]
@@ -218,6 +249,7 @@ def _normalize(problem: LpProblem):
             costs.append(c[i])
             ubs.append(hi - lo)
             recover.append(("shift", i, lo))
+            start_upper.append(x0 is not None and x0[i] - lo > hi - x0[i])
         elif np.isfinite(hi):
             # x = hi - y
             b = b - col * hi
@@ -226,6 +258,7 @@ def _normalize(problem: LpProblem):
             costs.append(-c[i])
             ubs.append(np.inf)
             recover.append(("flip", i, hi))
+            start_upper.append(False)
         else:
             # free: x = y+ - y-
             cols.append(col)
@@ -236,6 +269,7 @@ def _normalize(problem: LpProblem):
             costs.append(-c[i])
             ubs.append(np.inf)
             recover.append(("neg", i, 0.0))
+            start_upper += [False, False]
 
     n_ub = problem.a_ub.shape[0]
     for r in range(n_ub):
@@ -245,18 +279,18 @@ def _normalize(problem: LpProblem):
         costs.append(0.0)
         ubs.append(np.inf)
         recover.append(("slack", -1, 0.0))
+        start_upper.append(False)
 
     mat = np.column_stack(cols) if cols else np.zeros((a.shape[0], 0))
-    neg = b < 0
-    mat[neg] *= -1.0
-    b = np.abs(b)
-    return mat, b, np.array(costs), np.array(ubs), recover, const, sign
+    return (mat, b, np.array(costs), np.array(ubs), np.array(start_upper, dtype=bool),
+            recover, const, sign)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a bounded-variable LP; deterministic for identical input."""
-    mat, b, cost, ubs, recover, const, sign = _normalize(problem)
+    mat, b, cost, ubs, at_upper, recover, const, sign = _normalize(problem)
     m, n_cols = mat.shape
+    n_ub = problem.a_ub.shape[0]
 
     # bound-only problem: each variable independently at its cheaper bound
     if m == 0:
@@ -268,14 +302,28 @@ def solve_lp(problem: LpProblem) -> LpSolution:
                 x[j] = ubs[j]
         return _finish(problem, x, recover, const, sign)
 
-    full = np.hstack([mat, np.eye(m)])
-    ub_full = np.concatenate([ubs, np.full(m, np.inf)])
-    tab = _Tableau(full, b.copy(), ub_full)
-    tab.basis = np.arange(n_cols, n_cols + m)
-    phase1_cost = np.concatenate([np.zeros(n_cols), np.ones(m)])
+    # slack crash: residual of each row with the columns at their start bounds
+    resid = b - mat[:, at_upper] @ ubs[at_upper]
+    slack_basic = np.zeros(m, dtype=bool)
+    slack_basic[:n_ub] = resid[:n_ub] >= 0
+    # every other row gets an artificial, the row negated to keep it >= 0
+    neg = resid < 0
+    mat[neg] *= -1.0
+    b = np.where(neg, -b, b)
+    art_rows = np.flatnonzero(~slack_basic)
+    n_art = art_rows.size
+    art = np.zeros((m, n_art))
+    art[art_rows, np.arange(n_art)] = 1.0
+    ub_full = np.concatenate([ubs, np.full(n_art, np.inf)])
+    tab = _Tableau(np.hstack([mat, art]), np.abs(resid), ub_full)
+    tab.at_upper[:n_cols] = at_upper
+    tab.basis[slack_basic] = n_cols - n_ub + np.flatnonzero(slack_basic)
+    tab.basis[art_rows] = n_cols + np.arange(n_art)
+    phase1_cost = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
     status = tab.run(phase1_cost, max_iter=20000 + 50 * (m + n_cols))
+    phase1 = tab.pivots
     if status != "optimal" or float(phase1_cost[tab.basis] @ tab.xb) > 1e-8:
-        return LpSolution(status="infeasible")
+        return LpSolution(status="infeasible", phase1_pivots=phase1)
 
     # drive artificials out of the basis; drop redundant rows
     artificial = tab.basis >= n_cols
@@ -297,13 +345,15 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     tab.at_upper = tab.at_upper[:n_cols]
 
     status = tab.run(cost, max_iter=20000 + 50 * (tab.m + n_cols))
+    counts = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots}
     if status == "unbounded":
-        return LpSolution(status="unbounded")
+        return LpSolution(status="unbounded", **counts)
     tab.resolve_basics(mat[keep_rows], b[keep_rows])
-    return _finish(problem, tab.solution(), recover, const, sign)
+    return _finish(problem, tab.solution(), recover, const, sign, **counts)
 
 
-def _finish(problem: LpProblem, y: np.ndarray, recover, const, sign) -> LpSolution:
+def _finish(problem: LpProblem, y: np.ndarray, recover, const, sign,
+            **counts) -> LpSolution:
     x = np.zeros(problem.n_vars)
     for val, (kind, i, offset) in zip(y, recover):
         if kind == "shift":
@@ -324,4 +374,5 @@ def _finish(problem: LpProblem, y: np.ndarray, recover, const, sign) -> LpSoluti
         resid = np.abs(problem.a_eq @ x - problem.b_eq)
         if resid.max(initial=0.0) > 1e-8:
             raise RuntimeError("simplex returned an infeasible point (equality)")
-    return LpSolution(status="optimal", x=x, objective_value=float(problem.c @ x))
+    return LpSolution(status="optimal", x=x, objective_value=float(problem.c @ x),
+                      **counts)

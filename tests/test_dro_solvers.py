@@ -723,6 +723,45 @@ class TestBalanceRouteWork:
         assert r.status == "optimal"
         assert r.active_shift == shifts[near]
 
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("smaller_shift_ahead", [True, False])
+    def test_earnings_scale_tie_goes_to_smaller_shift(self, monkeypatch, direction,
+                                                      smaller_shift_ahead):
+        # outcomes of order 1e4: roundoff in the LP values grows with them,
+        # so two values 1e-9 apart still tie
+        plain = _balance_sample(32)
+        data = Dataset(y=plain.y * 1e4, t=plain.t, x=plain.x)
+        cfg = SensitivityConfig(gamma=2.0, delta=0.1, m=20, direction=direction,
+                                balance_lambda=0.5)
+        wide, lo, hi = _widened_screen(data, cfg, None)
+        shifts = shift_grid(data.y, cfg.m).shifts
+
+        def rows_of(lo_row, hi_row):
+            return np.flatnonzero((lo == lo_row).all(axis=1) & (hi == hi_row).all(axis=1))
+
+        unique = [j for j in np.flatnonzero(wide) if rows_of(lo[j], hi[j]).size == 1]
+        by_size = sorted(unique, key=lambda j: abs(shifts[j]))
+        near, far = by_size[0], by_size[-1]
+        assert abs(shifts[near]) < abs(shifts[far])
+        y0 = data.control_y
+        maximize = direction == "lower"
+        # below every screen bound, so that neither shift is pruned
+        base = math.floor(y0.min()) - 1.0 if maximize else math.ceil(y0.max()) + 1.0
+        ahead = base + (1e-9 if maximize else -1e-9)
+        values = {near: ahead if smaller_shift_ahead else base,
+                  far: base if smaller_shift_ahead else ahead}
+        assert abs(values[near] - values[far]) > 1e-12  # beyond an absolute 1e-12
+        uniform = np.full(y0.size, 1.0 / y0.size)
+
+        def fake(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+            j = rows_of(lo_row, hi_row)
+            return (values[j[0]], uniform) if j.size == 1 and j[0] in values else None
+
+        monkeypatch.setattr(ds, "_solve_balance_lp", fake)
+        r = distributional_att_bound(data, cfg)
+        assert r.status == "optimal"
+        assert r.active_shift == shifts[near]
+
 
 class TestConditionalSe:
     def test_degenerate_outcomes(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             LpProblem(c=[1.0], sense="maximize")
 
+    @pytest.mark.parametrize("kwargs,match", [
+        # a NaN lower bound used to read as -inf: "unbounded"
+        pytest.param(dict(lower=[np.nan], upper=[5.0]), "NaN bound", id="nan-lower"),
+        pytest.param(dict(lower=[0.0], upper=[np.nan]), "NaN bound", id="nan-upper"),
+        # lower = upper = +inf used to be solved as a free variable
+        pytest.param(dict(lower=[np.inf], upper=[np.inf]), r"\+inf", id="lower-plus-inf"),
+        pytest.param(dict(lower=[-np.inf], upper=[-np.inf]), "-inf", id="upper-minus-inf"),
+        # an infinite rhs used to give "infeasible" and a RuntimeWarning
+        pytest.param(dict(a_ub=[[1.0]], b_ub=[np.inf], lower=[0.0], upper=[1.0]),
+                     "non-finite", id="inf-b_ub"),
+        pytest.param(dict(a_eq=[[1.0]], b_eq=[-np.inf]), "non-finite", id="inf-b_eq"),
+        pytest.param(dict(a_ub=[[np.inf]], b_ub=[1.0]), "non-finite", id="inf-a_ub"),
+        pytest.param(dict(c=[np.inf]), "non-finite", id="inf-c"),
+        pytest.param(dict(x0=[1.0, 2.0]), "x0 must have length 1", id="x0-length"),
+        pytest.param(dict(x0=[[1.0]]), "x0 must have length 1", id="x0-2d"),
+        pytest.param(dict(x0=[np.nan]), "x0 must be finite", id="x0-nan"),
+        pytest.param(dict(x0=[np.inf]), "x0 must be finite", id="x0-inf"),
+    ])
+    def test_rejects_non_finite_or_malformed_input(self, kwargs, match):
+        kwargs = {"c": [1.0], **kwargs}
+        with pytest.raises(ValueError, match=match):
+            LpProblem(**kwargs)
+
 
 def _random_problem(rng):
     n = int(rng.integers(1, 6))
@@ -114,6 +139,59 @@ class TestAgainstVertexOracle:
                 assert np.max(np.abs(prob.a_eq @ sol.x - prob.b_eq)) <= 1e-8
             assert np.all(sol.x >= prob.lower - 1e-9)
             assert np.all(sol.x <= prob.upper + 1e-9)
+
+
+def _hints(prob, rng):
+    """Start hints for a boxed problem: inside the box, at a corner, and
+    outside it on both sides."""
+    lo, hi = prob.lower, prob.upper
+    n = prob.n_vars
+    return [
+        lo + rng.uniform(size=n) * (hi - lo),
+        np.where(rng.uniform(size=n) < 0.5, lo, hi),
+        np.where(rng.uniform(size=n) < 0.5, lo - 1.0, hi + 1.0) + rng.normal(size=n),
+    ]
+
+
+class TestWarmStart:
+    def test_hints_keep_status_and_objective(self):
+        # the problems of TestAgainstVertexOracle.test_random_boxed_problems
+        rng = np.random.default_rng(11)
+        problems = [_random_problem(rng) for _ in range(400)]
+        hint_rng = np.random.default_rng(16)
+        checked = 0
+        for prob in problems:
+            cold = solve_lp(prob)
+            for x0 in _hints(prob, hint_rng):
+                warm = solve_lp(replace(prob, x0=x0))
+                assert warm.status == cold.status
+                if cold.status == "optimal":
+                    assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                                 abs=1e-8)
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_hint_shortens_phase_one_on_balance_lps(self, monkeypatch, direction):
+        # lp_routes seed 0, sample 3: every screened per-shift LP
+        problems = []
+
+        def record(problem):
+            problems.append(problem)
+            return LpSolution(status="infeasible")  # no incumbent: nothing is pruned
+
+        monkeypatch.setattr(drci.dro_solvers, "solve_lp", record)
+        distributional_att_bound(_balance_sample(0, 3), SensitivityConfig(
+            gamma=2.0, delta=0.1, m=20, balance_lambda=0.5, direction=direction))
+        assert problems
+        for prob in problems:
+            assert prob.x0 is not None
+            warm = solve_lp(prob)
+            cold = solve_lp(replace(prob, x0=None))
+            assert warm.phase1_pivots < cold.phase1_pivots
+            assert warm.status == cold.status == "optimal"
+            obj = cold.objective_value
+            assert abs(warm.objective_value - obj) <= 1e-9 * (1.0 + abs(obj))
 
 
 class TestAntiCycling:
@@ -194,6 +272,22 @@ class TestDeterminism:
         assert a.status == b.status
         if a.status == "optimal":
             assert a.x.tolist() == b.x.tolist()
+
+    def test_repeat_hinted_solve_bitwise_identical(self):
+        rng = np.random.default_rng(17)
+        solved = 0
+        for _ in range(20):
+            prob = _random_problem(rng)
+            for x0 in _hints(prob, rng):
+                hinted = replace(prob, x0=x0)
+                a, b = solve_lp(hinted), solve_lp(hinted)
+                assert (a.status, a.phase1_pivots, a.phase2_pivots) == (
+                    b.status, b.phase1_pivots, b.phase2_pivots)
+                if a.status == "optimal":
+                    assert a.x.tolist() == b.x.tolist()
+                    assert a.objective_value == b.objective_value
+                    solved += 1
+        assert solved > 10
 
     def test_objective_scaling(self):
         rng = np.random.default_rng(15)
