@@ -4,8 +4,8 @@ Commands: ``att``, ``atc``, ``did``, ``cic``, ``iv`` produce a JSON report
 (solver warnings included); ``simulate`` emits the Monte Carlo bias table as
 CSV; ``sweep`` solves both directions over a gamma x delta grid and emits
 CSV.  Configuration comes from an optional JSON file with CLI flags taking
-precedence.  Exit codes: 0 optimal, 2 infeasible, 1 error (bad input or a
-failed linear program).
+precedence.  Exit codes: 0 optimal, 2 infeasible, 1 error (a usage error, bad
+input or a failed linear program).
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ _MODELS = ("marginal", "distributional", "tv")
 
 @dataclass(frozen=True)
 class ColumnMap:
-    """Input column names; ``baseline``/``instrument`` are opt-in."""
+    """Input column names; ``baseline``/``instrument`` are opt-in, and a
+    ``covariate_prefix`` of ``None`` reads no covariates."""
 
     outcome: str = "y"
     treatment: str = "t"
     baseline: str | None = None
     instrument: str | None = None
-    covariate_prefix: str = "x"
+    covariate_prefix: str | None = "x"
 
 
 @dataclass
@@ -164,14 +165,14 @@ def _weights_json(weights: dict[str, float]) -> str:
     if not weights:
         return "{}"
     keys = sorted(weights)
-    values = np.array([weights[k] for k in keys], dtype=float)
+    values = np.fromiter(map(weights.__getitem__, keys), float, len(keys))
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
     # distinct bit patterns, so that -0.0 keeps its sign
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()],
-                     dtype=object)[inverse]
-    items = map("{}: {}".format, map(encode_basestring_ascii, keys), texts)
+                     dtype=object)[inverse].tolist()
+    items = [f"{k}: {v}" for k, v in zip(map(encode_basestring_ascii, keys), texts)]
     return "{\n    " + ",\n    ".join(items) + "\n  }"
 
 
@@ -205,7 +206,7 @@ def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
         return None
     # the row parser's csv module refuses fields over its size limit
     limit = csv.field_size_limit()
-    if len(body) > limit and _longest_line(body) > limit:
+    if len(body) > limit and not _lines_fit(body, limit):
         return None
     cov_cols = _covariate_columns(header, columns)
     wanted = [c for c in (columns.outcome, columns.treatment, columns.baseline,
@@ -229,6 +230,17 @@ def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
     x = table[:, len(wanted) - len(cov_cols):].copy() if cov_cols else None
     return Dataset(y=column(columns.outcome), t=t, y_b=column(columns.baseline),
                    z=z, x=x)
+
+
+def _lines_fit(text: str, limit: int) -> bool:
+    """Whether no line of ``text`` is longer than ``limit``.  When every
+    aligned block of ``limit // 2`` characters holds a newline, a line spans
+    at most two blocks less a character, and the lines are not measured."""
+    block = limit // 2
+    if block and all(text.find("\n", i, i + block) >= 0
+                     for i in range(0, len(text) - block + 1, block)):
+        return True
+    return _longest_line(text) <= limit
 
 
 def _longest_line(text: str) -> int:
@@ -281,6 +293,8 @@ def _load_rows(path: str, columns: ColumnMap) -> Dataset:
 
 
 def _covariate_columns(header, columns: ColumnMap) -> list[str]:
+    if columns.covariate_prefix is None:
+        return []
     reserved = {columns.outcome, columns.treatment, columns.baseline,
                 columns.instrument}
     cands = [c for c in header
@@ -324,8 +338,22 @@ def _log_transform(data: Dataset, offset: float) -> Dataset:
     return Dataset(y=y, t=data.t, y_b=y_b, z=data.z, x=data.x)
 
 
-def _solve(config: RunConfig, data: Dataset) -> BoundResult:
-    sens = config.sensitivity()
+def _dataset(config: RunConfig, data: Dataset | None, balance: bool) -> Dataset:
+    """``data``, or else ``config.input`` read without its covariates unless
+    the run has ``balance`` terms (their only reader), log-transformed if
+    asked."""
+    if data is None:
+        if config.input is None:
+            raise ValueError("no input file configured")
+        columns = config.columns if balance else \
+            replace(config.columns, covariate_prefix=None)
+        data = load_csv(config.input, columns)
+    if config.log_outcome:
+        data = _log_transform(data, config.log_offset)
+    return data
+
+
+def _solve(config: RunConfig, sens: SensitivityConfig, data: Dataset) -> BoundResult:
     if config.command == "att":
         return _att_bound(data, config.model, sens)
     if config.command == "atc":
@@ -342,13 +370,9 @@ def _solve(config: RunConfig, data: Dataset) -> BoundResult:
 def run(config: RunConfig, data: Dataset | None = None) -> Report:
     """Load (unless given), solve, and wrap the result in a Report."""
     start = time.perf_counter()
-    if data is None:
-        if config.input is None:
-            raise ValueError("no input file configured")
-        data = load_csv(config.input, config.columns)
-    if config.log_outcome:
-        data = _log_transform(data, config.log_offset)
-    result = _solve(config, data)
+    sens = config.sensitivity()
+    data = _dataset(config, data, sens.wants_balance)
+    result = _solve(config, sens, data)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     weights = None
     if config.emit_weights and result.status == "optimal":
@@ -375,9 +399,21 @@ def run(config: RunConfig, data: Dataset | None = None) -> Report:
 def _report_weights(result: BoundResult) -> dict[str, float]:
     """The weights keyed by unit index as text, in the text order the JSON
     report writes them."""
-    keys = result.weight_index.astype(str)
-    order = np.argsort(keys, kind="stable")
-    return dict(zip(keys[order].tolist(), result.weight_values[order].tolist()))
+    order = _text_order(result.weight_index)
+    keys = map(str, result.weight_index[order].tolist())
+    return dict(zip(keys, result.weight_values[order].tolist()))
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _text_order(index: np.ndarray) -> np.ndarray:
+    """The order that sorts strictly ascending integers in [0, 10**18) by
+    their decimal text.  Padding ``i`` of ``d`` digits to ``D`` gives
+    ``i * 10**(D - d)``; text order is that value's order, and on a tie the
+    shorter text, which is the smaller integer, comes first."""
+    digits = np.searchsorted(_POW10[1:], index, side="right") + 1
+    return np.argsort(index * _POW10[digits.max(initial=0) - digits], kind="stable")
 
 
 def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None) -> str:
@@ -393,12 +429,7 @@ def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None
     # every cell's knobs are checked before any solve
     cells = [replace(config, gamma=g, delta=d).sensitivity()
              for g in gammas for d in deltas]
-    if data is None:
-        if config.input is None:
-            raise ValueError("no input file configured")
-        data = load_csv(config.input, config.columns)
-    if config.log_outcome:
-        data = _log_transform(data, config.log_offset)
+    data = _dataset(config, data, cells[0].wants_balance)
     if config.model == "distributional" and not cells[0].wants_balance:
         bounds = _distributional_sweep(data, cells[0], gammas, deltas)
     else:
@@ -554,7 +585,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written the help or the usage error
+        return 0 if exc.code == 0 else 1
     try:
         config = build_config(args)
         if config.command == "simulate":

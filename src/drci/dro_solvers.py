@@ -125,6 +125,17 @@ class SensitivityConfig:
         return self.balance_lambda > 0 or self.balance_epsilon is not None
 
 
+def _refuse_balance(config: SensitivityConfig, where: str) -> None:
+    """Raise if ``config`` sets a balance knob, which ``where`` would ignore:
+    only the distributional ATT/ATC, DiD and CIC bounds balance covariates."""
+    knobs = [name for name, on in (("balance_lambda", config.balance_lambda > 0),
+                                   ("balance_epsilon", config.balance_epsilon is not None))
+             if on]
+    if knobs:
+        raise ValueError(f"{' and '.join(knobs)} is not supported by {where}; covariate "
+                         "balance needs the distributional att, atc, did or cic bound")
+
+
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     """A one-sided robust bound with its certificate.
@@ -774,6 +785,8 @@ def atc_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResu
 
 def _att_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResult:
     """The ATT bound of ``model`` (marginal, tv or distributional)."""
+    if model in ("marginal", "tv"):
+        _refuse_balance(config, f"the {model} model")
     if model == "marginal":
         return marginal_att_bound(data, config.gamma, config.direction)
     if model == "tv":

@@ -29,6 +29,7 @@ from .dro_solvers import (
     _control_bands,
     _distributional_core,
     _infeasible,
+    _refuse_balance,
     _shift_solve,
     conditional_se,
 )
@@ -134,6 +135,7 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
     controls toward the arm's treated shape, coupled to the opposite arm's
     reweighting by a mean-difference slack ``epsilon`` (the relaxed
     exclusion restriction).  Shift pairs are enumerated exhaustively."""
+    _refuse_balance(config, "iv")
     strata = IvStrata.from_dataset(data)
     warnings = tuple(
         f"stratum (t={t}, z={z}) has fewer than 2 units; bounds may be overly conservative"

@@ -172,6 +172,49 @@ class TestColumnarRead:
         expected = np.array([float(v) for v in texts])
         assert data.y.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("body,measured,columnar", [
+        # long_number from EDGE_FILES, the file of
+        # TestMain.test_oversized_field_exit_one, and a body of short lines
+        # that is longer than the field size limit
+        (f"{_LONG_NUMBER},0\n2,1\n", True, False),
+        ("1,0\n" + "a" * 200_000 + ",1\n", True, False),
+        ("1.5,0\n2,1\n" * 20_000, False, True),
+    ], ids=["long_number", "oversized_field", "long_body"])
+    def test_line_screen_measures_only_long_lines(self, tmp_path, monkeypatch,
+                                                  body, measured, columnar):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t\n" + body)
+        assert len(body) > csv.field_size_limit()
+        calls, measure = [], cli_io._longest_line
+        monkeypatch.setattr(cli_io, "_longest_line",
+                            lambda text: calls.append(1) or measure(text))
+        assert (cli_io._load_columnar(str(path), ColumnMap()) is not None) == columnar
+        assert bool(calls) == measured
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.text(alphabet="ab\n", max_size=60), limit=st.integers(1, 14))
+    def test_line_screen_matches_line_lengths(self, text, limit):
+        longest = max(len(line) for line in text.split("\n"))
+        assert cli_io._lines_fit(text, limit) == (longest <= limit)
+
+
+# integers next to each power of ten, and integers with trailing zeros, whose
+# text is a prefix of other keys' text
+_KEYS = st.one_of(
+    st.integers(0, 15).flatmap(lambda k: st.integers(max(0, 10**k - 2), 10**k + 2)),
+    st.builds(lambda a, k: a * 10**k, st.integers(0, 999), st.integers(0, 12)),
+    st.integers(0, 10**15),
+)
+
+
+class TestWeightOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.sets(_KEYS, max_size=40))
+    def test_integer_order_is_text_order(self, keys):
+        index = np.array(sorted(keys), dtype=np.int64)
+        order = cli_io._text_order(index)
+        assert [str(i) for i in index[order].tolist()] == sorted(map(str, keys))
+
 
 class TestRun:
     def test_marginal_gamma_one(self, fixture_csv):
@@ -272,6 +315,66 @@ class TestRun:
         jb = json.loads(b.to_json())
         ja.pop("runtime_ms"), jb.pop("runtime_ms")
         assert ja == jb
+
+
+def _covariate_files(tmp_path):
+    """The same sample with and without an ``x1`` column whose row 7 holds
+    text."""
+    rng = np.random.default_rng(16)
+    header, rows = "y,t,y_b,z", []
+    for i in range(40):
+        t, z = i % 2, (i // 2) % 2
+        rows.append(f"{rng.normal(t, 1):.4f},{t},{rng.normal(0, 1):.4f},{z}")
+    plain, with_x = tmp_path / "plain.csv", tmp_path / "with_x.csv"
+    plain.write_text("\n".join([header] + rows) + "\n")
+    x = [f"{v:.3f}" for v in rng.normal(size=len(rows))]
+    x[6] = "abc"
+    with_x.write_text("\n".join([header + ",x1"] + [
+        f"{row},{v}" for row, v in zip(rows, x)]) + "\n")
+    return str(plain), str(with_x)
+
+
+class TestCovariatesReadOnDemand:
+    @pytest.mark.parametrize("argv", [
+        ["att", "--model", "distributional", "--gamma", "2", "--delta", "0.5",
+         "--m", "3", "--emit-weights"],
+        ["atc", "--model", "marginal", "--gamma", "2"],
+        ["did", "--gamma", "2", "--delta", "0.5", "--epsilon", "0.5", "--m", "3"],
+        ["cic", "--gamma", "2", "--delta", "0.5", "--epsilon", "0.5", "--m", "3"],
+        ["iv", "--gamma", "2", "--delta", "1", "--m", "2"],
+        ["sweep", "--model", "distributional", "--gammas", "1.5,2",
+         "--deltas", "0.3,0.6", "--m", "3"],
+        ["sweep", "--model", "tv", "--lambda-tv", "0.2"],
+    ], ids=["att", "atc", "did", "cic", "iv", "sweep", "sweep_tv"])
+    def test_runs_ignore_a_bad_covariate(self, tmp_path, capsys, argv):
+        outputs = []
+        for path in _covariate_files(tmp_path):
+            assert main(argv + ["--input", path]) == 0
+            text = capsys.readouterr().out
+            if argv[0] != "sweep":
+                report = json.loads(text)
+                assert report["config"].pop("input") == path
+                assert report["config"]["columns"]["covariate_prefix"] == "x"
+                report.pop("runtime_ms")
+                text = report
+            outputs.append(text)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["att", "did", "sweep"])
+    def test_balance_run_reads_covariates(self, tmp_path, capsys, command):
+        _, with_x = _covariate_files(tmp_path)
+        code = main([command, "--input", with_x, "--model", "distributional",
+                     "--balance-lambda", "0.5", "--m", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: bad input rows: row 7: non-numeric value 'abc' in column 'x1'\n")
+
+    def test_load_csv_reads_covariates_by_default(self, tmp_path):
+        plain, with_x = _covariate_files(tmp_path)
+        with pytest.raises(ValueError, match="row 7: non-numeric value 'abc'"):
+            load_csv(with_x)
+        assert load_csv(plain).x is None
+        assert load_csv(with_x, ColumnMap(covariate_prefix=None)).x is None
 
 
 class TestSweep:
@@ -534,6 +637,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err == "error: field larger than field limit (131072)\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--gamma", "abc"], "argument --gamma: invalid float value: 'abc'"),
+        (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["--direction", "sideways"], "argument --direction: invalid choice: 'sideways'"),
+    ], ids=["bad_float", "unknown_flag", "bad_choice"])
+    def test_usage_error_exit_one(self, fixture_csv, capsys, flags, message):
+        code = main(["att", "--input", fixture_csv, "--model", "marginal", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.err.startswith("usage: drci")
+        assert captured.out == ""
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["att", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: drci att")
+
+    @pytest.mark.parametrize("argv,named", [
+        (["att", "--model", "marginal", "--balance-lambda", "5"], "balance_lambda"),
+        (["atc", "--model", "tv", "--balance-epsilon", "0"], "balance_epsilon"),
+        (["sweep", "--model", "marginal", "--balance-lambda", "5"], "balance_lambda"),
+        (["iv", "--balance-epsilon", "0", "--m", "2"], "balance_epsilon"),
+    ], ids=["att_marginal", "atc_tv", "sweep_marginal", "iv"])
+    def test_balance_knob_without_balance_terms_exit_one(self, tmp_path, capsys,
+                                                         argv, named):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,z,x1\n" + "".join(
+            f"{i},{i % 2},{(i // 2) % 2},{i % 3}\n" for i in range(12)))
+        assert main(argv + ["--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} is not supported by ")
+        assert ("iv" if argv[0] == "iv" else argv[2]) in err
 
     def test_simulate_emits_bias_table(self, tmp_path):
         out = tmp_path / "table.csv"

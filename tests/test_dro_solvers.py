@@ -554,6 +554,21 @@ class TestBalance:
         with pytest.raises(ValueError):
             balance_terms(FIVE_UNITS, 1.0)
 
+    @pytest.mark.parametrize("model", ["marginal", "tv"])
+    @pytest.mark.parametrize("knobs,named", [
+        ({"balance_lambda": 5.0}, "balance_lambda"),
+        ({"balance_epsilon": 0.0}, "balance_epsilon"),
+        ({"balance_lambda": 5.0, "balance_epsilon": 1.0},
+         "balance_lambda and balance_epsilon"),
+    ])
+    def test_models_without_balance_refuse_the_knobs(self, model, knobs, named):
+        # the knobs would otherwise be ignored, so the estimate would not move
+        data = _covariate_dataset()
+        cfg = SensitivityConfig(gamma=2.0, lambda_tv=0.3, **knobs)
+        for solve in (ds._att_bound, atc_bound):
+            with pytest.raises(ValueError, match=f"^{named} .* the {model} model"):
+                solve(data, model, cfg)
+
 
 def _balance_sample(seed, n=200, n1=80):
     """Three covariates that confound treatment, and baseline outcomes."""

@@ -187,6 +187,13 @@ class TestIv:
         with pytest.raises(ValueError):
             iv_att_bound(Dataset(y=[0.0, 1.0], t=[0, 1]), SensitivityConfig())
 
+    @pytest.mark.parametrize("knobs,named", [({"balance_lambda": 5.0}, "balance_lambda"),
+                                             ({"balance_epsilon": 0.0}, "balance_epsilon")])
+    def test_balance_knobs_refused(self, knobs, named):
+        data = _iv_dataset(np.random.default_rng(36), per_stratum=3)
+        with pytest.raises(ValueError, match=f"^{named} is not supported by iv"):
+            iv_att_bound(data, SensitivityConfig(delta=1.0, m=2, **knobs))
+
     def test_small_stratum_warning(self):
         data = Dataset(
             y=[0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0],
