@@ -36,7 +36,9 @@ atoms at one ``gamma`` (:meth:`_SolvePlan.capped`) and runs one
 distributional route here and in :mod:`drci.extensions` takes this path.  A
 single bound builds its plan and evaluates it once; a (gamma, delta) sweep
 builds one plan and evaluates it per cell; the Monte Carlo bias table builds
-one per replicate and reads only the lower bound's value, with no weights.
+one per replicate, stacks the scans of a block of replicates
+(:func:`_distributional_lower_block`) and reads only the lower bound's value,
+with no weights.
 
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
 one LP per shift with band rows at the breakpoints.  The balance-free kernel
@@ -266,7 +268,8 @@ def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
 
     ``lo``/``hi`` (S, L) bound the cumulative weight at the breakpoint
     columns; the first is pinned to 0, the last to the total mass 1.  ``p``
-    (L,) is the capacity below each breakpoint.  Returns
+    (L,), or (S, L) with one row per shift, is the capacity below each
+    breakpoint.  Returns
     ``(feasible, c_least, c_great)`` with the cumulatives (S, L-1) at the
     breakpoints after the first.  A column between breakpoints has band
     ``[0, 1]`` and never wins the scans' max/min, so these are exactly the
@@ -298,7 +301,7 @@ def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
     hh = np.flip(np.minimum.accumulate(np.flip(hi_c, axis=1), axis=1), axis=1)
     d = hh - p
     d[:, 0] = 0.0  # cumulative starts at zero
-    c_great = p[1:] + np.minimum.accumulate(d, axis=1)[:, 1:]
+    c_great = p[..., 1:] + np.minimum.accumulate(d, axis=1)[:, 1:]
     feasible &= np.all(c_great >= lo_c[:, 1:] - _TOL, axis=1)
 
     c_least[:, -1] = 1.0
@@ -590,19 +593,132 @@ def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
 def _distributional_lower_estimates(data: Dataset, gammas, delta: float, m: int,
                                     ks_mode: str) -> list[float]:
     """``distributional_att_bound(...).estimate`` of the lower bound at each
-    of ``gammas``, bit for bit (NaN where infeasible), from one plan and one
-    scan per gamma.  Only the lower bound's weighted means are computed; no
-    weights, SE or :class:`BoundResult` are built."""
-    plan = _distributional_plan(data, m, ks_mode)
-    treated_mean = float(data.treated_y.mean())
-    lo, hi = plan.bands.at(delta)
-    out = []
-    for gamma in gammas:
-        solve = _shift_solve(plan.capped(gamma), plan.bands, lo, hi)
-        pick = _select_shift(solve.obj_max, solve.feasible, plan.grid.shifts, True)
-        out.append(math.nan if pick is None
-                   else treated_mean - float(solve.obj_max[pick]))
+    of ``gammas``, bit for bit (NaN where infeasible): the one-dataset call
+    of :func:`_distributional_lower_block`."""
+    return _distributional_lower_block([data], gammas, delta, m, ks_mode)[0].tolist()
+
+
+def _screen(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows of the bands ``lo``/``hi`` (S, L) at one delta that may be
+    feasible at some gamma up to ``gamma``.
+
+    The pinned-column tests are :func:`_breakpoint_extremes`' own.  At an
+    interior column a feasible row's least element lies between the clipped
+    lower band less the scan's rounding (about ``2 eps (1 + gamma)``, the
+    capacities reaching gamma) and the clipped upper band plus ``_TOL``.  So
+    a row whose clipped lower band exceeds the upper by more than ``_TOL``
+    plus twice that rounding is infeasible at every such gamma.
+    """
+    margin = _TOL + 4 * np.finfo(float).eps * (1 + gamma)
+    keep = ((lo[:, 0] <= _TOL) & (hi[:, 0] >= -_TOL)
+            & (lo[:, -1] <= 1 + _TOL) & (hi[:, -1] >= 1 - _TOL))
+    gap = np.clip(lo[:, 1:-1], 0.0, 1.0) - np.clip(hi[:, 1:-1], 0.0, 1.0)
+    return keep & np.all(gap <= margin, axis=1)
+
+
+@dataclass(frozen=True)
+class _Survivors:
+    """The shifts of one dataset that pass :func:`_screen`: their bands at
+    delta (rows of ``lo``/``hi``) and shifts, with the dataset's breakpoint
+    columns, treated mean and capped atoms at each gamma."""
+
+    index: int
+    treated_mean: float
+    cols: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    shifts: np.ndarray
+    capped: list[_ControlAtoms]
+
+
+def _distributional_lower_block(datasets, gammas, delta: float, m: int,
+                                ks_mode: str) -> np.ndarray:
+    """``distributional_att_bound(...).estimate`` of the lower bound of each
+    of ``datasets`` (rows) at each of ``gammas`` (columns), bit for bit (NaN
+    where infeasible), with no weights, SE or :class:`BoundResult`.
+
+    Each dataset gets its own plan, and the shifts that :func:`_screen` finds
+    infeasible at every gamma are dropped before any scan.  The surviving
+    shifts of all datasets whose bands share a width L are stacked into one
+    :func:`_breakpoint_extremes` call per gamma, each row with its own
+    dataset's capacities; the scans work row by row, so each row gets the
+    values of its own dataset's scan.  The top-filled bucket means of the
+    feasible rows then take :func:`_bucket_means`' elementwise steps, with
+    each dataset's own ``searchsorted`` and one row sum over the same L - 1
+    terms, and each dataset's shift is picked by :func:`_select_shift`'s rule.
+    """
+    gammas = [float(g) for g in gammas]
+    out = np.full((len(datasets), len(gammas)), np.nan)
+    groups: dict[int, list[_Survivors]] = {}
+    for index, data in enumerate(datasets):
+        plan = _distributional_plan(data, m, ks_mode)
+        lo, hi = plan.bands.at(delta)
+        rows = np.flatnonzero(_screen(lo, hi, max(gammas)))
+        if rows.size:
+            groups.setdefault(plan.bands.cols.size, []).append(_Survivors(
+                index, float(data.treated_y.mean()), plan.bands.cols, lo[rows],
+                hi[rows], plan.grid.shifts[rows], [plan.capped(g) for g in gammas]))
+    # smallest groups first, each dropped once scanned: the largest scan
+    # runs with the fewest other survivors held
+    for width in sorted(groups, key=lambda w: len(groups[w])):
+        _lower_block_scan(groups.pop(width), out)
     return out
+
+
+def _lower_block_scan(members: list[_Survivors], out: np.ndarray) -> None:
+    """Fill ``out[member.index, gamma]`` for datasets whose bands share one
+    width L, from one stacked scan per gamma."""
+    lo = np.concatenate([s.lo for s in members])
+    hi = np.concatenate([s.hi for s in members])
+    shifts = np.concatenate([s.shifts for s in members])
+    owner = np.repeat(np.arange(len(members)), [s.shifts.size for s in members])
+    cols = np.stack([s.cols for s in members])
+    # offsets of each member's K+1 capacities (and K atoms) in the flat arrays
+    offsets = np.concatenate(([0], np.cumsum(cols[:, -1] + 1)[:-1]))
+    atoms0 = np.array([s.capped[0].atoms[0] for s in members])
+    rel_atoms = np.concatenate([s.capped[0].atoms - s.capped[0].atoms[0] for s in members])
+    treated_means = np.array([s.treated_mean for s in members])
+    index = np.array([s.index for s in members])
+
+    for j in range(out.shape[1]):
+        ctrls = [s.capped[j] for s in members]
+        p = np.stack([c.cum_caps[s.cols] for c, s in zip(ctrls, members)])[owner]
+        feasible, c_least = _breakpoint_extremes(lo, hi, p)[:2]
+        f = np.flatnonzero(feasible)
+        if not f.size:
+            continue
+        who = owner[f]
+        start, end = cols[who, :-1], cols[who, 1:]
+        # _bucket_means(from_top=True) on the feasible rows
+        need = np.diff(c_least[f], prepend=0.0, axis=1)
+        p_end = p[f, 1:]
+        del p, c_least  # free the stacked rows: only the feasible ones go on
+        target = p_end - need
+        cut = np.empty(target.shape, dtype=np.intp)
+        bounds = np.searchsorted(who, np.arange(len(members) + 1))
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if a < b:
+                cut[a:b] = np.searchsorted(ctrls[i].cum_caps, target[a:b])
+        cut = np.clip(cut, start, end)
+        off = offsets[who, None]
+        p_flat = np.concatenate([c.cum_caps for c in ctrls])
+        q_flat = np.concatenate([c.cum_moments for c in ctrls])
+        full_mass = p_end - p_flat[cut + off]
+        full_moment = q_flat[end + off] - q_flat[cut + off]
+        edge = np.maximum(cut - 1, start)
+        rest = (need - full_mass) * rel_atoms[edge + off - who[:, None]]
+        values = atoms0[who] + (full_moment + rest).sum(axis=1)
+
+        # _select_shift per member: the best value, values within _TIE_TOL
+        # of it tie, and ties go to the smallest |c|, then c
+        first = np.flatnonzero(np.diff(who, prepend=-1))
+        best = np.maximum.reduceat(values, first)
+        cand = np.flatnonzero(
+            np.abs(values - np.repeat(best, np.diff(first, append=f.size))) <= _TIE_TOL)
+        c = shifts[f[cand]]
+        order = cand[np.lexsort((c, np.abs(c), who[cand]))]
+        pick = order[np.diff(who[order], prepend=-1) != 0]
+        out[index[who[pick]], j] = treated_means[who[pick]] - values[pick]
 
 
 def _distributional_lp_route(

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Dataset
-from .dro_solvers import SensitivityConfig, _distributional_lower_estimates
+from .dro_solvers import SensitivityConfig, _distributional_lower_block
 
 __all__ = [
     "Scenario",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _MODELS = ("marginal", "distributional")
+_BLOCK = 32  # replications drawn and solved together by run_monte_carlo
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,11 @@ def generate_scenario(s: Scenario, n: int, seed) -> Dataset:
     """Draw ``n`` units; deterministic given ``seed`` (int or int sequence)."""
     if n < 2:
         raise ValueError("need at least two units")
+    return Dataset(*_draw(s, n, seed))
+
+
+def _draw(s: Scenario, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes and treatments of :func:`generate_scenario`'s draw."""
     rng = np.random.default_rng(seed)
     u = rng.binomial(1, s.p, size=n)
     t = rng.binomial(1, 0.6 * u + 0.2)
@@ -75,17 +82,21 @@ def generate_scenario(s: Scenario, n: int, seed) -> Dataset:
     theta = rng.normal(0.0, 2.0, size=n)
     eps = rng.normal(0.0, 0.1, size=n)
     y = (1 - u) * (t - 0.5) * nu + u * (t - 0.5) * eta + theta + eps
-    return Dataset(y=y, t=t)
+    return y, t
 
 
-def _capped_marginal_lower(data: Dataset, gamma: float) -> float:
-    """Marginal-model lower bound with only the shared cap ``gamma/n0`` on
-    the weights (no positive floor), keeping the weight box identical across
-    the two models in the bias tables."""
+def _capped_marginal_lowers(data: Dataset, gammas) -> list[float]:
+    """Marginal-model lower bound at each of ``gammas`` with only the shared
+    cap ``gamma/n0`` on the weights (no positive floor), keeping the weight
+    box identical across the two models in the bias tables."""
     y0 = np.sort(data.control_y)[::-1]
-    cap = gamma / y0.size
-    take = np.minimum(cap, np.maximum(0.0, 1.0 - cap * np.arange(y0.size)))
-    return float(data.treated_y.mean() - take @ y0)
+    treated_mean = data.treated_y.mean()
+    out = []
+    for gamma in gammas:
+        cap = gamma / y0.size
+        take = np.minimum(cap, np.maximum(0.0, 1.0 - cap * np.arange(y0.size)))
+        out.append(float(treated_mean - take @ y0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,17 +144,30 @@ def run_monte_carlo(
 ) -> BiasTable:
     """Bias/sd of each model's lower bound across ``reps`` replications.
 
-    Solver infeasibility (possible for the distributional model at small
-    ``delta``) drops that replication from the affected cell only; the
-    ``replications`` column reports the count actually aggregated.  The
-    knobs are checked up front as :class:`SensitivityConfig` checks them,
-    for every model; ``models`` and ``gammas`` must be nonempty and hold no
-    repeats.  The distributional cells are the lower
-    :func:`~drci.dro_solvers.distributional_att_bound` estimates, computed
-    from one solve plan per replication without weights or standard errors.
+    Replication ``rep`` is drawn from the stream ``(seed, rep)``.  A draw
+    with an empty treatment arm has no bound under any model, so it is
+    dropped from every cell.  Solver infeasibility (possible for the
+    distributional model at small ``delta``) drops that replication from the
+    affected cell only.  The ``replications`` column reports the count
+    actually aggregated.  ``n`` and ``reps`` must be integers (``n >= 2``,
+    ``reps >= 1``), the other knobs are checked up front as
+    :class:`SensitivityConfig` checks them, for every model, and ``models``
+    and ``gammas`` must be nonempty and hold no repeats.
+
+    Replications are drawn and solved in blocks of ``_BLOCK``.  The marginal
+    cells sort each replication's controls once for all gammas.  The
+    distributional cells are the lower
+    :func:`~drci.dro_solvers.distributional_att_bound` estimates bit for bit,
+    computed without weights or standard errors by
+    :func:`~drci.dro_solvers._distributional_lower_block`: one solve plan
+    per replication, a gamma-free screen that drops the shifts infeasible at
+    every gamma, and one breakpoint scan per gamma over the surviving shifts
+    of all replications in the block whose bands share a width.
     """
-    if reps < 1:
-        raise ValueError("need at least one replication")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError("n must be an integer >= 2")
+    if not isinstance(reps, numbers.Integral) or reps < 1:
+        raise ValueError("reps must be a positive integer")
     models = tuple(models)
     gammas = tuple(float(g) for g in gammas)
     if not models or not gammas:
@@ -157,24 +181,30 @@ def run_monte_carlo(
         raise ValueError("models and gammas must not repeat")
     truth = true_att(s)
 
-    estimates: dict[tuple[str, float], list[float]] = {
-        (model, g): [] for model in models for g in gammas
-    }
-    for rep in range(reps):
-        data = generate_scenario(s, n, (seed, rep))
+    # per model, one (replications, gammas) array of estimates per block
+    blocks: dict[str, list[np.ndarray]] = {model: [] for model in models}
+    for first in range(0, reps, _BLOCK):
+        block = []
+        for rep in range(first, min(first + _BLOCK, reps)):
+            y, t = _draw(s, n, (seed, rep))
+            if 0 < t.sum() < n:  # both arms drawn
+                block.append(Dataset(y=y, t=t))
+        if not block:
+            continue
         for model in models:
             if model == "marginal":
-                values = [_capped_marginal_lower(data, g) for g in gammas]
+                blocks[model].append(np.array(
+                    [_capped_marginal_lowers(data, gammas) for data in block]))
             else:
-                values = _distributional_lower_estimates(data, gammas, delta, m, ks_mode)
-            for g, value in zip(gammas, values):
-                if not math.isnan(value):  # NaN: infeasible
-                    estimates[(model, g)].append(value)
+                blocks[model].append(
+                    _distributional_lower_block(block, gammas, delta, m, ks_mode))
 
     rows = []
     for model in models:
-        for g in gammas:
-            values = np.asarray(estimates[(model, g)])
+        estimates = (np.concatenate(blocks[model]) if blocks[model]
+                     else np.empty((0, len(gammas))))
+        for g, column in zip(gammas, estimates.T):
+            values = column[~np.isnan(column)]  # NaN: infeasible
             if values.size == 0:
                 rows.append(BiasRow(model, g, n, delta, math.nan, math.nan, 0))
                 continue

@@ -682,6 +682,23 @@ class TestMain:
         assert lines[0] == "model,gamma,n,delta,bias,sd,replications"
         assert lines[1].startswith("marginal,2,60,0.1,")
 
+    def test_simulate_drops_one_arm_draws(self, tmp_path):
+        # 5 of these 300 draws of 6 units leave an arm empty
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--n", "6", "--reps", "300", "--gammas", "2,3",
+                     "--delta", "0.3", "--seed", "0", "--output", str(out)])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 5
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "distributional", "distributional", "marginal", "marginal"]
+        assert [line.rsplit(",", 1)[1] for line in lines[3:]] == ["295", "295"]
+
+    @pytest.mark.parametrize("flag,value", [("--reps", "0"), ("--n", "1")])
+    def test_simulate_rejects_bad_sizes(self, capsys, flag, value):
+        assert main(["simulate", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_sweep_command(self, fixture_csv, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--input", fixture_csv, "--model",

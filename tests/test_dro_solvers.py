@@ -431,6 +431,58 @@ class TestBucketKernel:
         assert elapsed < 1.0
 
 
+def _near_tol_bands(rng, gamma, rows=400, k=40, width=6):
+    """Bands (rows, width) whose interior column ``j`` of each row has a
+    clipped lower band above the upper by about ``_TOL``: within 8 ulps of it
+    in half the rows, anywhere in [0, 2 margin] in the other half; some rows'
+    upper band is clipped at 1; margin is the screen's at ``gamma``.  Also
+    the capacities at ``gamma`` below the breakpoint columns."""
+    counts = rng.integers(1, 4, k)
+    cum = np.concatenate(([0.0], np.cumsum(counts * (gamma / counts.sum()))))
+    cols = np.concatenate(
+        ([0], np.sort(rng.choice(np.arange(1, k), width - 2, replace=False)), [k]))
+    hi = np.sort(rng.uniform(0.05, 1.05, (rows, width)), axis=1)
+    lo = hi - rng.uniform(0.0, 0.05, (rows, width))
+    lo[:, 0], hi[:, 0], lo[:, -1], hi[:, -1] = 0.0, 0.0, 1.0, 1.0
+    margin = ds._TOL + 4 * np.finfo(float).eps * (1 + gamma)
+    r, j = np.arange(rows), rng.integers(1, width - 1, rows)
+    top = np.minimum(hi[r, j], 1.0) + ds._TOL
+    lo[r, j] = top + rng.integers(-8, 9, rows) * np.spacing(top)
+    half = rows // 2
+    lo[r[:half], j[:half]] = (np.minimum(hi[r[:half], j[:half]], 1.0)
+                              + rng.uniform(0.0, 2 * margin, half))
+    return lo, hi, cum[cols]
+
+
+class TestMonteCarloScreen:
+    @pytest.mark.parametrize("gamma", [1.0, 5.0, 1e8])
+    def test_screen_keeps_every_feasible_row(self, gamma):
+        rng = np.random.default_rng(66)
+        rounded_in = 0
+        for _ in range(20):
+            lo, hi, p = _near_tol_bands(rng, gamma)
+            feasible = ds._breakpoint_extremes(lo, hi, p)[0]
+            keep = ds._screen(lo, hi, gamma)
+            assert not np.any(feasible & ~keep)
+            assert not keep.all()  # rows past the margin go
+            gap = (np.clip(lo, 0, 1) - np.clip(hi, 0, 1))[:, 1:-1].max(axis=1)
+            rounded_in += np.sum(feasible & (gap > ds._TOL))
+        if gamma == 1e8:
+            # the scan's rounding at this gamma admits rows a margin of
+            # _TOL alone would drop
+            assert rounded_in > 0
+
+    def test_pinned_columns_are_the_scan_tests(self):
+        lo = np.array([[0.0, 0.5, 1.0], [2e-9, 0.5, 1.0], [0.0, 0.5, 1 + 2e-9],
+                       [0.0, 0.5, 1.0]])
+        hi = np.array([[0.0, 0.6, 1.0], [0.0, 0.6, 1.0], [0.0, 0.6, 1.0],
+                       [0.0, 0.6, 1 - 2e-9]])
+        keep = ds._screen(lo, hi, 1.0)
+        np.testing.assert_array_equal(keep, [True, False, False, False])
+        feasible = ds._breakpoint_extremes(lo, hi, np.array([0.0, 1.0, 2.0]))[0]
+        np.testing.assert_array_equal(feasible, keep)
+
+
 class TestAtc:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(25)

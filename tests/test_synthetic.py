@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import drci.dro_solvers as ds
+import drci.synthetic as syn
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
 from drci.synthetic import Scenario, generate_scenario, run_monte_carlo, true_att
 
@@ -96,8 +98,10 @@ class TestRunMonteCarlo:
         {"gammas": (0.5,)}, {"delta": 7.0}, {"gammas": (math.nan,)},
         {"gammas": (math.inf,)}, {"m": 0}, {"ks_mode": "luck"}, {"models": ()},
         {"gammas": ()}, {"gammas": (2.0, 2.0)}, {"models": ("marginal", "marginal")},
+        {"reps": 2.5}, {"n": 100.5},
     ], ids=["gamma_below_one", "delta_above_one", "gamma_nan", "gamma_inf", "m_zero",
-            "ks_mode", "no_models", "no_gammas", "repeated_gamma", "repeated_model"])
+            "ks_mode", "no_models", "no_gammas", "repeated_gamma", "repeated_model",
+            "reps_not_integer", "n_not_integer"])
     def test_bad_knobs_rejected_for_a_marginal_table(self, bad):
         # the marginal cells never build a SensitivityConfig of their own
         args = {"s": Scenario(2, 3, 0.5), "n": 60, "reps": 5, "models": ("marginal",),
@@ -157,3 +161,84 @@ class TestRunMonteCarlo:
         }
         for (model, g), target in targets.items():
             assert table.cell(model, g).bias == pytest.approx(target, abs=0.25)
+
+    def test_one_arm_draws_are_dropped_from_every_cell(self):
+        s, n, reps, gammas, delta = Scenario(2, 3, 0.5), 6, 300, (2.0, 3.0), 0.3
+        two_arm = []
+        for rep in range(reps):
+            try:
+                two_arm.append(generate_scenario(s, n, (0, rep)))
+            except ValueError:  # an empty arm
+                pass
+        assert len(two_arm) == 295
+        table = run_monte_carlo(s, n, reps, ("marginal", "distributional"), gammas,
+                                delta, 0)
+        want = _bound_estimates(two_arm, gammas, delta, 50, "grid")
+        for g, column in zip(gammas, want.T):
+            assert table.cell("marginal", g).replications == 295
+            values = column[~np.isnan(column)]
+            row = table.cell("distributional", g)
+            assert 0 < row.replications == values.size <= 295
+            assert row.bias == float(values.mean() - true_att(s))
+            assert row.sd == float(values.std(ddof=1))
+
+    def test_block_memory_stays_small(self):
+        kwargs = {"s": Scenario(2, 3, 0.5), "n": 100, "models": ("distributional", "marginal"),
+                  "gammas": (2.0, 3.0, 5.0), "delta": 0.1, "seed": 0}
+        run_monte_carlo(reps=2, **kwargs)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            run_monte_carlo(reps=200, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of solve inputs at a time, not all 200 plans
+        assert peak < 5 * 2**20
+
+
+def _bound_estimates(datasets, gammas, delta, m, ks_mode):
+    """(datasets, gammas) lower ``distributional_att_bound`` estimates."""
+    return np.array([[distributional_att_bound(data, SensitivityConfig(
+        gamma=g, delta=delta, m=m, ks_mode=ks_mode)).estimate for g in gammas]
+        for data in datasets])
+
+
+class TestLowerBlock:
+    """The stacked value kernel against full solves, bit for bit."""
+
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_a_block_and_a_partial_block(self, ks_mode):
+        s, n, gammas, delta, m = Scenario(2, 3, 0.5), 60, (1.5, 3.0), 0.08, 10
+        reps = syn._BLOCK + 7
+        datasets = [generate_scenario(s, n, (50, rep)) for rep in range(reps)]
+        want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
+        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        np.testing.assert_array_equal(got, want, strict=True)
+        table = run_monte_carlo(s, n, reps, ("distributional",), gammas, delta, 50,
+                                m=m, ks_mode=ks_mode)
+        for g, column in zip(gammas, want.T):
+            values = column[~np.isnan(column)]
+            row = table.cell("distributional", g)
+            assert row.replications == values.size
+            assert row.bias == float(values.mean() - true_att(s))
+            assert row.sd == float(values.std(ddof=1))
+
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_several_band_widths_in_one_block(self, ks_mode):
+        s, gammas, delta, m = Scenario(3, 2, 0.5), (1.2, 2.0, 5.0, 1e8), 0.15, 12
+        datasets = [generate_scenario(s, n, (51, n)) for n in (9, 16, 25, 40, 40, 70)]
+        widths = {ds._distributional_plan(d, m, ks_mode).bands.cols.size for d in datasets}
+        assert len(widths) >= 3
+        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    @pytest.mark.parametrize("ks_mode,delta", [("grid", 0.03), ("exact_atoms", 0.08)])
+    def test_replications_with_no_feasible_shift(self, ks_mode, delta):
+        s, gammas, m = Scenario(2, 3, 0.5), (1.5, 3.0), 10
+        datasets = [generate_scenario(s, 80, (52, rep)) for rep in range(30)]
+        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
+        np.testing.assert_array_equal(got, want, strict=True)
+        none = np.isnan(want).all(axis=1)
+        assert none.any() and not none.all()
