@@ -139,8 +139,7 @@ class Report:
 
     def to_json(self) -> str:
         """``json.dumps(asdict(self), indent=2, sort_keys=True,
-        allow_nan=False)``, byte for byte; the weights (floats) are written
-        apart."""
+        allow_nan=False)``, byte for byte; the weights are written apart."""
         head = {f.name: getattr(self, f.name) for f in fields(self)}
         weights, head["weights"] = head["weights"], None
         text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
@@ -161,11 +160,17 @@ class Report:
 def _weights_json(weights: dict[str, float]) -> str:
     """The weights object as an ``indent=2`` dump writes it one level deep:
     keys sorted, each value as ``float.__repr__`` writes it.  Weights take
-    few distinct values, so each distinct value is formatted once."""
+    few distinct values, so each distinct value is formatted once.  Values
+    that are not all ``float`` (an int, a float subclass) are left to json."""
     if not weights:
         return "{}"
     keys = sorted(weights)
-    values = np.fromiter(map(weights.__getitem__, keys), float, len(keys))
+    values = list(map(weights.__getitem__, keys))
+    if set(map(type, values)) != {float}:
+        # one level deeper than a top-level dump: indent every line by 2
+        return json.dumps(weights, indent=2, sort_keys=True,
+                          allow_nan=False).replace("\n", "\n  ")
+    values = np.fromiter(values, float, len(keys))
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
     # distinct bit patterns, so that -0.0 keeps its sign

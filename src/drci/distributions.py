@@ -131,6 +131,16 @@ class ShiftGrid:
     def degenerate(self) -> bool:
         return self.shifts.size == 1
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """The one tie order between shifts: each shift's place in the order
+        smallest ``|c|`` first, then the smaller ``c``.  Every selection among
+        equally good shifts takes the one of lowest rank."""
+        order = np.lexsort((self.shifts, np.abs(self.shifts)))
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        return rank
+
 
 def shift_grid(values, m: int) -> ShiftGrid:
     """Build the shift grid spanning ``[-(max-min), +(max-min)]``.
@@ -264,8 +274,8 @@ def min_shift_ks(
 
     ``exact_atoms`` evaluates the exact KS per shift (atom unions);
     ``grid`` evaluates the double-grid approximation with F at
-    ``anchor + k*eps`` and G at ``anchor + c0 + (j+k)*eps``.  Ties break
-    toward the shift of smallest absolute value, then the smaller shift.
+    ``anchor + k*eps`` and G at ``anchor + c0 + (j+k)*eps``.  Ties go to
+    the shift of lowest :attr:`ShiftGrid.rank`.
     The distances come from the solvers' KS bands: with F's cumulative ``C``
     at the breakpoints, the larger of ``top - C`` and ``C - bottom``.
 
@@ -273,14 +283,11 @@ def min_shift_ks(
     """
     if mode not in ("grid", "exact_atoms"):
         raise ValueError(f"unknown mode {mode!r}")
-    shifts = grid.shifts
     bands = _bands(f.atoms, g, grid, mode)
     cum = np.concatenate(([0.0], f.cum))[bands.cols]
     dists = np.maximum(bands.top - cum, cum - bands.bottom).max(axis=1)
-    # lexicographic tie-break: distance, |shift|, shift
-    order = np.lexsort((shifts, np.abs(shifts), dists))
-    best = order[0]
-    return float(dists[best]), float(shifts[best])
+    best = np.lexsort((grid.rank, dists))[0]
+    return float(dists[best]), float(grid.shifts[best])
 
 
 def d0(f: WeightedEcdf, g: WeightedEcdf, regime: str = "gamma_ge_2") -> float:

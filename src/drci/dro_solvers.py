@@ -7,7 +7,9 @@ moves the whole TV budget onto one extreme unit, also in closed form.  The
 distributional model constrains the weighted control CDF to match the
 treated CDF in shape up to a location shift within KS distance ``delta``; it
 is solved exactly by enumerating the shift grid (exactly one shift is
-active) and optimizing the weighted mean per shift.
+active) and optimizing the weighted mean per shift.  Of the shifts whose
+values tie, the one of lowest :attr:`~drci.distributions.ShiftGrid.rank`
+(smallest ``|c|``, then the smaller ``c``) is reported, on every route.
 
 Per shift, the constraints reduce to interval bounds on the cumulative
 weight at each control atom plus per-atom capacities.  The feasible set of
@@ -275,13 +277,7 @@ def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
     ``[0, 1]`` and never wins the scans' max/min, so these are exactly the
     values the scans over all K+1 columns give at the breakpoints.
     """
-    feasible = (
-        (lo[:, 0] <= _TOL)
-        & (hi[:, 0] >= -_TOL)
-        & (lo[:, -1] <= 1 + _TOL)
-        & (hi[:, -1] >= 1 - _TOL)
-    )
-
+    feasible = _pinned_ok(lo, hi)
     lo_c = np.clip(lo, 0.0, 1.0)
     hi_c = np.clip(hi, 0.0, 1.0)
     lo_c[:, 0] = 0.0
@@ -307,6 +303,13 @@ def _breakpoint_extremes(lo: np.ndarray, hi: np.ndarray, p: np.ndarray):
     c_least[:, -1] = 1.0
     c_great[:, -1] = 1.0
     return feasible, c_least, c_great
+
+
+def _pinned_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows of the bands ``lo``/``hi`` (S, L) that admit the pinned
+    cumulatives: 0 at the first column and 1 at the last."""
+    return ((lo[:, 0] <= _TOL) & (hi[:, 0] >= -_TOL)
+            & (lo[:, -1] <= 1 + _TOL) & (hi[:, -1] >= 1 - _TOL))
 
 
 def _bucket_means(ctrl: _ControlAtoms, cols: np.ndarray, cum: np.ndarray,
@@ -413,17 +416,17 @@ def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
                        *_breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols]))
 
 
-def _select_shift(values: np.ndarray, ok: np.ndarray, shifts: np.ndarray,
+def _select_shift(values: np.ndarray, ok: np.ndarray, rank: np.ndarray,
                   maximize: bool, tol: float = _TIE_TOL) -> int | None:
-    """Index of the best feasible shift; values within ``tol`` of the best
-    tie, and ties go to smallest |c| then c."""
+    """Index of the best feasible entry; values within ``tol`` of the best
+    tie, and ties go to the lowest ``rank`` (:attr:`ShiftGrid.rank` for a
+    shift, ``rank[j1] * S + rank[j2]`` for a pair of shifts)."""
     if not ok.any():
         return None
     masked = np.where(ok, values, -np.inf if maximize else np.inf)
     best = masked.max() if maximize else masked.min()
     cand = np.flatnonzero(ok & (np.abs(values - best) <= tol))
-    order = np.lexsort((shifts[cand], np.abs(shifts[cand])))
-    return int(cand[order[0]])
+    return int(cand[np.argmin(rank[cand])])
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +440,7 @@ def marginal_att_bound(data: Dataset, gamma: float, direction: str = "lower") ->
     fractional-knapsack: saturate extreme weights in outcome order, leaving
     at most one fractional weight.
     """
-    if not 1 <= gamma < math.inf:
-        raise ValueError("gamma must be finite and >= 1")
-    _check_direction(direction)
+    SensitivityConfig(gamma=gamma, direction=direction)  # validates the knobs
     y0 = data.control_y
     n0 = y0.size
     lo, hi = 1.0 / (gamma * n0), gamma / n0
@@ -478,11 +479,6 @@ def _optimal_result(data, direction, control_weights, counterfactual,
     )
 
 
-def _check_direction(direction: str) -> None:
-    if direction not in ("lower", "upper"):
-        raise ValueError("direction must be 'lower' or 'upper'")
-
-
 # ---------------------------------------------------------------------------
 # total-variation model
 
@@ -498,9 +494,7 @@ def tv_att_bound(data: Dataset, lambda_tv: float, direction: str = "lower") -> B
     opposite extreme.  Ties in outcome go to the lowest unit index, so the
     weights are deterministic.
     """
-    if not 0 <= lambda_tv <= 1:
-        raise ValueError("lambda_tv must be in [0, 1]")
-    _check_direction(direction)
+    SensitivityConfig(lambda_tv=lambda_tv, direction=direction)  # validates the knobs
     y0 = data.control_y
     n0 = y0.size
     u = 1.0 / n0
@@ -546,11 +540,11 @@ def _distributional_core(
     plan = _distributional_plan(data, config.m, config.ks_mode)
     solve = _shift_solve(plan.capped(config.gamma), plan.bands,
                          *plan.bands.at(config.delta))
-    return _bound_from_solve(data, plan.grid.shifts, solve, config.direction,
+    return _bound_from_solve(data, plan.grid, solve, config.direction,
                              mean_window, treated_mean, warnings)
 
 
-def _bound_from_solve(data: Dataset, shifts: np.ndarray, solve: _ShiftSolve,
+def _bound_from_solve(data: Dataset, grid: ShiftGrid, solve: _ShiftSolve,
                       direction: str, mean_window: tuple[float, float] | None,
                       treated_mean: float, warnings: tuple[str, ...] = ()) -> BoundResult:
     """The bound in ``direction`` from one shift solve: the best feasible
@@ -563,13 +557,13 @@ def _bound_from_solve(data: Dataset, shifts: np.ndarray, solve: _ShiftSolve,
         ok = ok & (solve.obj_max >= wlo - _TOL) & (solve.obj_min <= whi + _TOL)
         values = np.minimum(values, whi) if maximize else np.maximum(values, wlo)
 
-    pick = _select_shift(values, ok, shifts, maximize)
+    pick = _select_shift(values, ok, grid.rank, maximize)
     if pick is None:
         return _infeasible(direction, treated_mean, warnings)
     value = float(values[pick])
     w = solve.ctrl.unit_weights(solve.masses_for(pick, value, solve.ctrl.atoms))
     return _optimal_result(
-        data, direction, w, value, treated_mean, float(shifts[pick]), warnings,
+        data, direction, w, value, treated_mean, float(grid.shifts[pick]), warnings,
     )
 
 
@@ -585,41 +579,31 @@ def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
         ctrl = plan.capped(gamma)
         for delta in deltas:
             solve = _shift_solve(ctrl, plan.bands, *plan.bands.at(delta))
-            yield tuple(_bound_from_solve(data, plan.grid.shifts, solve, direction,
+            yield tuple(_bound_from_solve(data, plan.grid, solve, direction,
                                           None, treated_mean)
                         for direction in ("lower", "upper"))
-
-
-def _distributional_lower_estimates(data: Dataset, gammas, delta: float, m: int,
-                                    ks_mode: str) -> list[float]:
-    """``distributional_att_bound(...).estimate`` of the lower bound at each
-    of ``gammas``, bit for bit (NaN where infeasible): the one-dataset call
-    of :func:`_distributional_lower_block`."""
-    return _distributional_lower_block([data], gammas, delta, m, ks_mode)[0].tolist()
 
 
 def _screen(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
     """Rows of the bands ``lo``/``hi`` (S, L) at one delta that may be
     feasible at some gamma up to ``gamma``.
 
-    The pinned-column tests are :func:`_breakpoint_extremes`' own.  At an
-    interior column a feasible row's least element lies between the clipped
-    lower band less the scan's rounding (about ``2 eps (1 + gamma)``, the
+    The pinned columns are tested by :func:`_pinned_ok`.  At an interior
+    column a feasible row's least element lies between the clipped lower
+    band less the scan's rounding (about ``2 eps (1 + gamma)``, the
     capacities reaching gamma) and the clipped upper band plus ``_TOL``.  So
     a row whose clipped lower band exceeds the upper by more than ``_TOL``
     plus twice that rounding is infeasible at every such gamma.
     """
     margin = _TOL + 4 * np.finfo(float).eps * (1 + gamma)
-    keep = ((lo[:, 0] <= _TOL) & (hi[:, 0] >= -_TOL)
-            & (lo[:, -1] <= 1 + _TOL) & (hi[:, -1] >= 1 - _TOL))
     gap = np.clip(lo[:, 1:-1], 0.0, 1.0) - np.clip(hi[:, 1:-1], 0.0, 1.0)
-    return keep & np.all(gap <= margin, axis=1)
+    return _pinned_ok(lo, hi) & np.all(gap <= margin, axis=1)
 
 
 @dataclass(frozen=True)
 class _Survivors:
     """The shifts of one dataset that pass :func:`_screen`: their bands at
-    delta (rows of ``lo``/``hi``) and shifts, with the dataset's breakpoint
+    delta (rows of ``lo``/``hi``) and ranks, with the dataset's breakpoint
     columns, treated mean and capped atoms at each gamma."""
 
     index: int
@@ -627,7 +611,7 @@ class _Survivors:
     cols: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    shifts: np.ndarray
+    ranks: np.ndarray
     capped: list[_ControlAtoms]
 
 
@@ -657,7 +641,7 @@ def _distributional_lower_block(datasets, gammas, delta: float, m: int,
         if rows.size:
             groups.setdefault(plan.bands.cols.size, []).append(_Survivors(
                 index, float(data.treated_y.mean()), plan.bands.cols, lo[rows],
-                hi[rows], plan.grid.shifts[rows], [plan.capped(g) for g in gammas]))
+                hi[rows], plan.grid.rank[rows], [plan.capped(g) for g in gammas]))
     # smallest groups first, each dropped once scanned: the largest scan
     # runs with the fewest other survivors held
     for width in sorted(groups, key=lambda w: len(groups[w])):
@@ -670,8 +654,8 @@ def _lower_block_scan(members: list[_Survivors], out: np.ndarray) -> None:
     width L, from one stacked scan per gamma."""
     lo = np.concatenate([s.lo for s in members])
     hi = np.concatenate([s.hi for s in members])
-    shifts = np.concatenate([s.shifts for s in members])
-    owner = np.repeat(np.arange(len(members)), [s.shifts.size for s in members])
+    ranks = np.concatenate([s.ranks for s in members])
+    owner = np.repeat(np.arange(len(members)), [s.ranks.size for s in members])
     cols = np.stack([s.cols for s in members])
     # offsets of each member's K+1 capacities (and K atoms) in the flat arrays
     offsets = np.concatenate(([0], np.cumsum(cols[:, -1] + 1)[:-1]))
@@ -710,13 +694,12 @@ def _lower_block_scan(members: list[_Survivors], out: np.ndarray) -> None:
         values = atoms0[who] + (full_moment + rest).sum(axis=1)
 
         # _select_shift per member: the best value, values within _TIE_TOL
-        # of it tie, and ties go to the smallest |c|, then c
+        # of it tie, and ties go to the lowest rank
         first = np.flatnonzero(np.diff(who, prepend=-1))
         best = np.maximum.reduceat(values, first)
         cand = np.flatnonzero(
             np.abs(values - np.repeat(best, np.diff(first, append=f.size))) <= _TIE_TOL)
-        c = shifts[f[cand]]
-        order = cand[np.lexsort((c, np.abs(c), who[cand]))]
+        order = cand[np.lexsort((ranks[f[cand]], who[cand]))]
         pick = order[np.diff(who[order], prepend=-1) != 0]
         out[index[who[pick]], j] = treated_means[who[pick]] - values[pick]
 
@@ -739,11 +722,11 @@ def _distributional_lp_route(
     has no LP solution, and its extreme weighted mean bounds the shift's LP
     value.  Shifts are solved best bound first until no bound left can
     reach the incumbent, and ``_select_shift`` picks among the solved ones
-    by the kernel route's rule (the best value, then the smallest |c|, then
-    c), so the result is the one a solve of every shift gives.  Values
-    within ``_TIE_TOL`` times ``1 + max|y0|`` tie: the LP values carry
-    roundoff of the outcome scale, and which of two tied shifts a pivot path
-    favours must not decide the pick.
+    by the kernel route's rule (the best value, then the lowest
+    :attr:`ShiftGrid.rank`), so the result is the one a solve of every
+    shift gives.  Values within ``_TIE_TOL`` times ``1 + max|y0|`` tie: the
+    LP values carry roundoff of the outcome scale, and which of two tied
+    shifts a pivot path favours must not decide the pick.
     """
     y0 = data.control_y
     plan = _distributional_plan(data, config.m, config.ks_mode)
@@ -755,7 +738,7 @@ def _distributional_lp_route(
     screen = _shift_solve(ctrl, bands, lo - _LP_ROW_TOL, hi + _LP_ROW_TOL)
     feasible, obj_min, obj_max = screen.feasible, screen.obj_min, screen.obj_max
     # the LP has no row for column 0; both pinned columns keep the kernel's tolerance
-    feasible &= (lo[:, 0] <= _TOL) & (hi[:, -1] >= 1 - _TOL) & (lo[:, -1] <= 1 + _TOL)
+    feasible &= _pinned_ok(lo, hi)
     scale = 1.0 + float(np.abs(y0).max())
     slack = 1e-9 * scale
     if mean_window is not None:
@@ -765,11 +748,11 @@ def _distributional_lp_route(
         feasible &= (obj_max >= wlo - reach) & (obj_min <= whi + reach)
     # bounds on each shift's LP value, oriented so that smaller is better
     bound = -obj_max if maximize else obj_min
-    shifts = plan.grid.shifts
+    rank = plan.grid.rank
     cand = np.flatnonzero(feasible)
-    cand = cand[np.lexsort((shifts[cand], np.abs(shifts[cand]), bound[cand]))]
+    cand = cand[np.lexsort((rank[cand], bound[cand]))]
 
-    values = np.full(shifts.size, np.nan)  # penalized LP value per solved shift
+    values = np.full(rank.size, np.nan)  # penalized LP value per solved shift
     solved = {}  # shift index -> control weights
     best = math.inf  # best oriented value so far
     for j in cand:
@@ -782,14 +765,14 @@ def _distributional_lp_route(
             continue
         values[j], solved[j] = sol
         best = min(best, -values[j] if maximize else values[j])
-    pick = _select_shift(values, ~np.isnan(values), shifts, maximize,
+    pick = _select_shift(values, ~np.isnan(values), rank, maximize,
                          tol=_TIE_TOL * scale)
     if pick is None:
         return _infeasible(config.direction, treated_mean, warnings)
     w = solved[pick]
     return _optimal_result(
         data, config.direction, w, float(w @ y0), treated_mean,
-        float(shifts[pick]), warnings,
+        float(plan.grid.shifts[pick]), warnings,
     )
 
 

@@ -12,7 +12,9 @@ encouragement) strata.  For each encouragement arm the counterfactual is a
 reweighting of that arm's controls, shape-matched to the arm's observed
 treated distribution; a relaxed exclusion restriction couples it to the
 opposite arm's reweighting through a mean-difference slack.  Shifts for the
-two KS constraints are enumerated independently.
+two KS constraints are enumerated independently; of the shift pairs whose
+values tie, the one of lowest ``rank[j1] * S + rank[j2]`` wins, with
+:attr:`~drci.distributions.ShiftGrid.rank` the single-shift tie order.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ import numpy as np
 
 from .distributions import Dataset, WeightedEcdf, cic_target_cdf, ecdf, shift_grid
 from .dro_solvers import (
+    _TOL,
     BoundResult,
     SensitivityConfig,
     _control_bands,
     _distributional_core,
     _infeasible,
+    _optimal_result,
     _refuse_balance,
+    _select_shift,
     _shift_solve,
-    conditional_se,
 )
 
 __all__ = [
@@ -41,8 +45,6 @@ __all__ = [
     "cic_att_bound",
     "iv_att_bound",
 ]
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,9 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
     """ATT bound under encouragement: per arm ``z``, reweight that arm's
     controls toward the arm's treated shape, coupled to the opposite arm's
     reweighting by a mean-difference slack ``epsilon`` (the relaxed
-    exclusion restriction).  Shift pairs are enumerated exhaustively."""
+    exclusion restriction).  Shift pairs are enumerated exhaustively.  The
+    estimate is ``treated_mean - counterfactual_mean``, the counterfactual
+    being the arms' extreme means weighted by their treated shares."""
     _refuse_balance(config, "iv")
     strata = IvStrata.from_dataset(data)
     warnings = tuple(
@@ -147,7 +151,6 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
     treated_mean = float(data.treated_y.mean())
     maximize = config.direction == "lower"
 
-    estimate_terms = []
     counterfactual = 0.0
     arm_index, arm_values = [], []
     for z in (0, 1):
@@ -156,35 +159,15 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
         if solved is None:
             return _infeasible(config.direction, treated_mean, warnings)
         mu_star, unit_w = solved
-        arm_mean = float(strata.outcomes[(1, z)].mean())
-        estimate_terms.append(share * (arm_mean - mu_star))
         counterfactual += share * mu_star
         arm_index.append(strata.indices[(0, z)])
         arm_values.append(share * unit_w)
 
-    # the two arms' controls are all the controls, so the sorted weights
-    # are the vector over the control units in index order
-    index = np.concatenate(arm_index)
-    order = np.argsort(index, kind="stable")
-    values = np.concatenate(arm_values)[order]
-    estimate = float(sum(estimate_terms))
-    se = (
-        conditional_se(data, values)
-        if data.n1 >= 2
-        else math.nan
-    )
-    return BoundResult(
-        estimate=estimate,
-        direction=config.direction,
-        weight_index=index[order],
-        weight_values=values,
-        active_shift=None,
-        se=se,
-        status="optimal",
-        treated_mean=treated_mean,
-        counterfactual_mean=counterfactual,
-        warnings=warnings,
-    )
+    # the two arms' controls are all the controls, so the weights sorted by
+    # unit index are the vector over the control units in index order
+    order = np.argsort(np.concatenate(arm_index), kind="stable")
+    return _optimal_result(data, config.direction, np.concatenate(arm_values)[order],
+                           counterfactual, treated_mean, None, warnings)
 
 
 def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
@@ -205,20 +188,13 @@ def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
     low = np.maximum(main.obj_min[:, None], other.obj_min[None, :] - eps)
     high = np.minimum(main.obj_max[:, None], other.obj_max[None, :] + eps)
     ok = main.feasible[:, None] & other.feasible[None, :] & (low <= high + _TOL)
-    if not ok.any():
+    values = (high if maximize else low).ravel()
+    # the pair (j1, j2) ranks by j1's shift rank, then by j2's
+    n_sh = grid.rank.size
+    pair_rank = (grid.rank[:, None] * n_sh + grid.rank).ravel()
+    pick = _select_shift(values, ok.ravel(), pair_rank, maximize)
+    if pick is None:
         return None
-    values = high if maximize else low
-
-    n_sh = grid.shifts.size
-    c1 = np.repeat(grid.shifts, n_sh)
-    c2 = np.tile(grid.shifts, n_sh)
-    flat_ok = ok.ravel()
-    flat_val = values.ravel()
-    best = flat_val[flat_ok].max() if maximize else flat_val[flat_ok].min()
-    cand = np.flatnonzero(flat_ok & (np.abs(flat_val - best) <= 1e-12))
-    order = np.lexsort((c2[cand], np.abs(c2[cand]), c1[cand], np.abs(c1[cand])))
-    pick = int(cand[order[0]])
-    j1 = pick // n_sh
-    mu_star = float(flat_val[pick])
-    masses = main.masses_for(j1, mu_star, main.ctrl.atoms)
+    mu_star = float(values[pick])
+    masses = main.masses_for(pick // n_sh, mu_star, main.ctrl.atoms)
     return mu_star, main.ctrl.unit_weights(masses)

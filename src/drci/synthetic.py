@@ -67,9 +67,13 @@ def true_att(s: Scenario) -> float:
 
 def generate_scenario(s: Scenario, n: int, seed) -> Dataset:
     """Draw ``n`` units; deterministic given ``seed`` (int or int sequence)."""
-    if n < 2:
-        raise ValueError("need at least two units")
+    _check_n(n)
     return Dataset(*_draw(s, n, seed))
+
+
+def _check_n(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError("n must be an integer >= 2")
 
 
 def _draw(s: Scenario, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -164,8 +168,7 @@ def run_monte_carlo(
     every gamma, and one breakpoint scan per gamma over the surviving shifts
     of all replications in the block whose bands share a width.
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    _check_n(n)
     if not isinstance(reps, numbers.Integral) or reps < 1:
         raise ValueError("reps must be a positive integer")
     models = tuple(models)

@@ -262,12 +262,13 @@ class TestRun:
         plain = run(config)
         weighted = run(replace(config, emit_weights=True))
         assert plain.weights is None and weighted.weights
-        # keys sort as strings; -0.0, repeats and float subclasses keep json's text
+        # keys sort as strings; -0.0, repeats, float subclasses and ints keep json's text
         many = {str(k): v for k, v in enumerate(
             [0.1, -0.0, 0.0, 0.1, 1 / 3, 5e-324, np.float64(2.5e-5)] * 2)}
         for report in (plain, weighted,
                        replace(weighted, weights={}),
                        replace(weighted, weights=many),
+                       replace(weighted, weights={"0": 1}),
                        replace(weighted, warnings=("stratum (t=0, z=1) is small",)),
                        replace(plain, warnings=("Γ ≥ 2: «bound» may be loose",
                                                 'a "quoted"\nline'))):

@@ -282,6 +282,18 @@ class TestShiftGrid:
         with pytest.raises(ValueError):
             shift_grid([0.0, 1.0], 0)
 
+    @pytest.mark.parametrize("values,m", [([0.0, 10.0], 5), ([3.0, 3.0, 3.0], 4),
+                                          ([-7.3, -1.2, 0.4], 6)],
+                             ids=["regular", "degenerate", "negative_anchor"])
+    def test_rank_is_the_tie_order(self, values, m):
+        # the place of each shift in the order smallest |c| first, then c
+        grid = shift_grid(values, m)
+        c = grid.shifts
+        want = np.empty(c.size, dtype=np.intp)
+        want[np.lexsort((c, np.abs(c)))] = np.arange(c.size)
+        np.testing.assert_array_equal(grid.rank, want, strict=True)
+        assert grid.rank[c == 0.0].tolist() == [0]
+
 
 class TestDataset:
     def test_counts(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from drci.distributions import Dataset
-from drci.dro_solvers import SensitivityConfig, distributional_att_bound
+from drci.distributions import Dataset, shift_grid
+from drci.dro_solvers import SensitivityConfig, _select_shift, distributional_att_bound
 from drci.extensions import (
     DidTargets,
     IvStrata,
@@ -233,3 +233,39 @@ class TestIv:
         assert r.estimate == pytest.approx(
             r.treated_mean - r.counterfactual_mean, abs=1e-10
         )
+
+    def test_estimate_is_treated_less_counterfactual(self):
+        rng = np.random.default_rng(40)
+        optimal = 0
+        for _ in range(10):
+            data = _iv_dataset(rng, per_stratum=4)
+            for direction in ("lower", "upper"):
+                r = iv_att_bound(data, SensitivityConfig(gamma=2.0, delta=0.6, epsilon=0.5,
+                                                         m=3, direction=direction))
+                if r.status == "optimal":
+                    optimal += 1
+                    assert r.estimate == r.treated_mean - r.counterfactual_mean
+        assert optimal >= 10
+
+    @pytest.mark.parametrize("values,m", [([0.0, 1.0, 4.0], 3), ([-5.0, -2.5], 4),
+                                          ([2.0, 2.0], 2)])
+    def test_pair_rank_is_the_four_key_order(self, values, m):
+        # a pair (j1, j2) ranks as rank[j1] * S + rank[j2]; among the best
+        # pairs that picks the first in (|c1|, c1, |c2|, c2) order
+        rng = np.random.default_rng(41)
+        grid = shift_grid(values, m)
+        c, n_sh = grid.shifts, grid.shifts.size
+        c1, c2 = np.repeat(c, n_sh), np.tile(c, n_sh)
+        pair_rank = (grid.rank[:, None] * n_sh + grid.rank).ravel()
+        for _ in range(50):
+            flat = rng.integers(0, 3, n_sh * n_sh).astype(float)  # ties everywhere
+            ok = rng.random(n_sh * n_sh) < 0.6
+            for maximize in (True, False):
+                got = _select_shift(flat, ok, pair_rank, maximize)
+                if not ok.any():
+                    assert got is None
+                    continue
+                best = flat[ok].max() if maximize else flat[ok].min()
+                cand = np.flatnonzero(ok & (flat == best))
+                order = np.lexsort((c2[cand], np.abs(c2[cand]), c1[cand], np.abs(c1[cand])))
+                assert got == cand[order[0]]

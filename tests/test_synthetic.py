@@ -55,6 +55,8 @@ class TestGenerateScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
             generate_scenario(Scenario(2, 3, 0.5), 1, seed=0)
+        with pytest.raises(ValueError, match="^n must be an integer >= 2$"):
+            generate_scenario(Scenario(2, 3, 0.5), 2.5, 0)
         with pytest.raises(ValueError):
             Scenario(2, 3, 1.5)
 
@@ -117,7 +119,7 @@ class TestRunMonteCarlo:
         per_gamma = {g: [] for g in gammas}
         for rep in range(reps):
             data = generate_scenario(s, n, (49, rep))
-            got = ds._distributional_lower_estimates(data, gammas, delta, m, ks_mode)
+            got = ds._distributional_lower_block([data], gammas, delta, m, ks_mode)[0]
             want = [distributional_att_bound(data, SensitivityConfig(
                 gamma=g, delta=delta, m=m, ks_mode=ks_mode)).estimate for g in gammas]
             np.testing.assert_array_equal(got, want, strict=True)
