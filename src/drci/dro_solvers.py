@@ -793,18 +793,15 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
         # penalty always degrades the optimum
         c[n0:] = -bal.lam if maximize else bal.lam
 
-    rows_a, rows_b = [], []
-    # cumulative KS bands at the breakpoint columns (indicator rows over units)
-    for q, lo_q, hi_q in zip(cols[1:], lo_row[1:], hi_row[1:]):
-        if hi_q >= 1 and lo_q <= 0:
-            continue
-        row = np.concatenate([(ctrl.inverse < q).astype(float), np.zeros(n_aux)])
-        if hi_q < 1:
-            rows_a.append(row)
-            rows_b.append(min(hi_q, 1.0))
-        if lo_q > 0:
-            rows_a.append(-row)
-            rows_b.append(-lo_q)
+    # cumulative KS bands at the breakpoint columns (indicator rows over
+    # units): per breakpoint the upper row where hi < 1, then the negated
+    # lower row where lo > 0
+    below = (ctrl.inverse[None, :] < cols[1:, None]).astype(float)
+    signed = np.stack([below, -below], axis=1)
+    active = np.stack([hi_row[1:] < 1, lo_row[1:] > 0], axis=1)
+    band_a = signed[active]
+    rows_a = [np.hstack([band_a, np.zeros((band_a.shape[0], n_aux))])]
+    rows_b = np.stack([hi_row[1:], -lo_row[1:]], axis=1)[active].tolist()
     s_caps = np.zeros(n_aux)
     for j in range(n_aux):
         xj = bal.control_x[:, j]
@@ -815,7 +812,7 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
         rows_a.append(np.concatenate([-xj, s]))
         rows_b.append(-bal.treated_means[j])
         # slack never needs to exceed the worst attainable imbalance;
-        # a finite cap keeps the tableau well scaled
+        # a finite cap keeps the LP well scaled
         s_caps[j] = max(
             abs(bal.treated_means[j] - xj.min()),
             abs(bal.treated_means[j] - xj.max()),
@@ -840,8 +837,8 @@ def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window
     problem = LpProblem(
         c=c,
         sense="max" if maximize else "min",
-        a_ub=np.vstack(rows_a) if rows_a else None,
-        b_ub=np.asarray(rows_b) if rows_b else None,
+        a_ub=np.vstack(rows_a),
+        b_ub=np.asarray(rows_b),
         a_eq=np.concatenate([np.ones(n0), np.zeros(n_aux)])[None, :],
         b_eq=[1.0],
         lower=np.zeros(n0 + n_aux),

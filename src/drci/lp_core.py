@@ -1,12 +1,18 @@
 """Deterministic bounded-variable linear programming.
 
-A dense two-phase primal simplex.  The entering column is priced by
-Dantzig's rule (largest |reduced cost|), with Bland's lowest-index rule after
-a run of degenerate pivots so that it cannot cycle; the leaving row is always
-Bland's.  The LPs here have few rows (tens) and up to a few thousand boxed
-columns, so a dense tableau with index-based tie-breaking buys determinism
-and simplicity.  The basic values of the final basis are recomputed from the
-original rows before the point is certified.
+A two-phase revised primal simplex for bounded variables (Dantzig &
+Orchard-Hays 1954; Maros 2003, ch. 7-9).  It keeps an explicit inverse of the
+basis columns: one eta update per basis change, and a rebuild from the
+columns every ``_REFACTOR_EVERY`` changes.  Each iteration prices every
+column with ``d = c - (c_B B^-1) A`` and takes the ratio test on the entering
+column ``B^-1 a_j``, so a pivot updates an R x R inverse, not an R x N
+tableau.  The entering column is Dantzig's (largest |reduced cost|), with
+Bland's lowest-index rule after a run of degenerate pivots so that it cannot
+cycle; the leaving row is always Bland's.  Ties go to the lowest index, so a
+solve is deterministic.  The LPs here have few rows (tens) and up to a few
+thousand boxed columns, so dense arrays serve.  The basic values of the final
+basis are recomputed from the original rows before the point is certified,
+and the row duals come from one solve with the final basis.
 
 Internally every variable is shifted/flipped/split so that it lives in
 ``[0, U]`` with ``U`` possibly infinite, and inequality rows get slack
@@ -15,9 +21,9 @@ nearest to the hint ``LpProblem.x0`` (at 0 without one), and an inequality
 row whose residual at that point is nonnegative starts with its own slack
 basic.  Only the remaining rows, the equalities and the violated
 inequalities, get an artificial variable (the row negated when its residual
-is negative); phase 1 minimizes the sum of those artificials and phase 2 the
-real objective.  The hint changes where the simplex starts, not which LP is
-solved.
+is negative), so the start basis is the identity.  Phase 1 minimizes the sum
+of those artificials and phase 2 the real objective.  The hint changes where
+the simplex starts, not which LP is solved.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _BLAND_AFTER = 50  # degenerate pivots in a row before Bland's entering rule
+_REFACTOR_EVERY = 50  # eta updates before the basis inverse is rebuilt
 
 
 @dataclass
@@ -110,57 +117,70 @@ class LpSolution:
     """Solver outcome: ``status`` in optimal/infeasible/unbounded; ``x`` and
     ``objective_value`` are populated only when optimal.  ``phase1_pivots``
     and ``phase2_pivots`` count the simplex iterations (basis changes and
-    bound flips) of each phase."""
+    bound flips) of each phase.
+
+    ``duals`` (also only when optimal) holds one multiplier per ``a_ub`` row,
+    then one per ``a_eq`` row: the rate at which the optimal objective moves
+    per unit increase of the row's right-hand side.  So an inequality row's
+    dual is <= 0 for ``min`` and >= 0 for ``max``, ``c - duals @ A`` are the
+    reduced costs, and a row dropped as redundant gets 0."""
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    duals: np.ndarray | None = None
 
 
-class _Tableau:
-    """Simplex working state over the normalized [0, U] variables."""
+class _Simplex:
+    """Revised simplex working state over the normalized [0, U] variables:
+    the rows ``a``, the basis with its explicit inverse ``binv`` and basic
+    values ``xb``, and which nonbasic columns sit at their upper bound."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, upper: np.ndarray):
+    def __init__(self, a: np.ndarray, xb: np.ndarray, upper: np.ndarray,
+                 basis: np.ndarray, at_upper: np.ndarray):
+        """The columns ``a[:, basis]`` must form the identity (a slack or
+        artificial crash), which is then the basis inverse."""
         self.a = a
-        self.b = b
+        self.xb = xb
         self.upper = upper  # per-column upper bound, inf allowed
-        self.m, self.n = a.shape
-        self.basis = np.full(self.m, -1, dtype=int)
-        self.at_upper = np.zeros(self.n, dtype=bool)
-        self.t = a.copy()
-        self.xb = b.copy()
+        self.basis = basis
+        self.at_upper = at_upper
         self.pivots = 0  # iterations of the last run
+        self.binv = np.eye(basis.size)
+        self._etas = 0
 
-    def nonbasic_value(self, j: int) -> float:
-        return self.upper[j] if self.at_upper[j] else 0.0
+    def refactor(self) -> None:
+        """Rebuild the basis inverse from the basis columns."""
+        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self._etas = 0
+
+    def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
+        """Column ``j`` replaces the basic variable of row ``r``, where
+        ``alpha`` is ``B^-1 a_j``: one eta update of the inverse.  The caller
+        moves the values."""
+        binv = self.binv
+        row = binv[r] / alpha[r]
+        binv -= alpha[:, None] * row
+        binv[r] = row
+        self.basis[r] = j
+        self._etas += 1
+        if self._etas >= _REFACTOR_EVERY:
+            self.refactor()
 
     def solution(self) -> np.ndarray:
         x = np.where(self.at_upper, np.where(np.isfinite(self.upper), self.upper, 0.0), 0.0)
         x[self.basis] = self.xb
         return x
 
-    def resolve_basics(self, a: np.ndarray, b: np.ndarray) -> None:
+    def resolve_basics(self, b: np.ndarray) -> None:
         """Recompute the basic values from the original rows ``a y = b`` for
-        the current basis, so pivot roundoff in the tableau cannot reach the
+        the current basis, so roundoff in the inverse cannot reach the
         returned point."""
         x = self.solution()
         x[self.basis] = 0.0
-        self.xb = np.linalg.solve(a[:, self.basis], b - a @ x)
-
-    def degenerate_pivot(self, row: int, col: int) -> None:
-        """Swap nonbasic ``col`` into the basis for the zero-valued basic
-        variable of ``row``.  No value moves: ``col`` keeps its nonbasic
-        value (possibly its upper bound) and every other row keeps its own."""
-        piv = self.t[row, col]
-        self.t[row] /= piv
-        factors = self.t[:, col].copy()
-        factors[row] = 0.0
-        self.t -= np.outer(factors, self.t[row])
-        self.xb[row] = self.nonbasic_value(col)
-        self.at_upper[col] = False
-        self.basis[row] = col
+        self.xb = np.linalg.solve(self.a[:, self.basis], b - self.a @ x)
 
     def run(self, cost: np.ndarray, max_iter: int) -> str:
         """Minimize ``cost`` from the current basis; returns optimal/unbounded.
@@ -170,137 +190,109 @@ class _Tableau:
         Bland's lowest eligible index until a pivot moves the point again, so
         the simplex cannot cycle.  The leaving row is always Bland's.  The
         number of iterations is left in ``pivots``."""
-        is_basic = np.zeros(self.n, dtype=bool)
-        is_basic[self.basis] = True
-        ub_basic = self.upper[self.basis]
+        a, upper, xb, basis, at_upper = self.a, self.upper, self.xb, self.basis, self.at_upper
+        # objective decrease per unit move of each nonbasic column away from
+        # its bound is sign * d: +1 at the upper bound, -1 at 0, 0 if basic
+        sign = np.where(at_upper, 1.0, -1.0)
+        sign[basis] = 0.0
+        cost_basic = cost[basis]
+        ub_basic = upper[basis]
+        no_limit = np.full(xb.size, np.inf)
+        gain = np.empty(cost.size)
         degenerate = 0
         for it in range(max_iter):
             self.pivots = it
-            d = cost - cost[self.basis] @ self.t
-            # objective decrease per unit move of each nonbasic column
-            # away from its current bound
-            gain = np.where(self.at_upper, d, -d)
-            gain[is_basic] = 0.0
+            np.matmul(cost_basic @ self.binv, a, out=gain)
+            np.subtract(cost, gain, out=gain)
+            gain *= sign
             if degenerate < _BLAND_AFTER:
-                j = int(np.argmax(gain))  # Dantzig; lowest index on ties
+                j = int(gain.argmax())  # Dantzig; lowest index on ties
             else:
-                j = int(np.argmax(gain > OPT_TOL))  # Bland: lowest index
+                j = int((gain > OPT_TOL).argmax())  # Bland: lowest index
             if not gain[j] > OPT_TOL:
                 return "optimal"
-            increasing = not self.at_upper[j]
+            increasing = sign[j] < 0
             # rate of change of basic values per unit move of the entering var
-            rate = -self.t[:, j] if increasing else self.t[:, j]
-            limits = np.full(self.m, np.inf)
-            np.divide(self.xb, -rate, out=limits, where=rate < -_PIVOT_TOL)
-            np.divide(ub_basic - self.xb, rate, out=limits, where=rate > _PIVOT_TOL)
-            own = self.upper[j]  # range between the variable's two bounds
-            row_min = float(limits.min(initial=np.inf))
+            alpha = self.binv @ a[:, j]
+            rate = sign[j] * alpha
+            limits = no_limit.copy()
+            np.divide(xb, -rate, out=limits, where=rate < -_PIVOT_TOL)
+            np.divide(ub_basic - xb, rate, out=limits, where=rate > _PIVOT_TOL)
+            own = float(upper[j])  # range between the variable's two bounds
+            row_min = float(limits.min())
             t_star = min(row_min, own)
-            if not np.isfinite(t_star):
+            if t_star == np.inf:
                 return "unbounded"
             degenerate = degenerate + 1 if t_star <= 0 else 0
+            xb += t_star * rate
             if own <= row_min:
                 # bound flip: variable crosses to its opposite bound
-                self.xb = self.xb + own * rate
-                self.at_upper[j] = ~self.at_upper[j]
+                at_upper[j] = increasing
+                sign[j] = -sign[j]
                 continue
-            blocking = np.flatnonzero(limits <= t_star + 1e-15)
-            r = int(blocking[np.argmin(self.basis[blocking])])  # Bland on leaving
-            leaving = self.basis[r]
-            self.xb = self.xb + t_star * rate
-            entering_value = t_star if increasing else self.upper[j] - t_star
+            blocking = (limits <= t_star + 1e-15).nonzero()[0]
+            r = int(blocking[basis[blocking].argmin()])  # Bland on leaving
+            leaving = basis[r]
             # leaving variable exits at whichever of its bounds blocked
-            self.at_upper[leaving] = rate[r] > _PIVOT_TOL
-            self.xb[r] = entering_value
-            self.at_upper[j] = False
-            row = self.t[r] / self.t[r, j]
-            factors = self.t[:, j].copy()
-            factors[r] = 0.0
-            self.t -= np.outer(factors, row)
-            self.t[r] = row
-            self.basis[r] = j
-            is_basic[leaving], is_basic[j] = False, True
+            at_upper[leaving] = rate[r] > _PIVOT_TOL
+            sign[leaving] = 1.0 if at_upper[leaving] else -1.0
+            xb[r] = t_star if increasing else own - t_star
+            at_upper[j] = False
+            sign[j] = 0.0
+            self.pivot(r, j, alpha)
+            cost_basic[r] = cost[j]
             ub_basic[r] = own
         raise RuntimeError("simplex iteration limit exceeded")
 
 
 def _normalize(problem: LpProblem):
-    """Rewrite as min cost over y in [0, U] with equality rows A y = b, one
-    slack column per inequality row (the last columns).  Also returns which
-    columns start at their upper bound: those nearer to it than to 0 at the
-    hint ``x0``."""
+    """Rewrite as ``min cost @ y`` over ``y`` in [0, U] with rows ``a y = b``:
+    ``x = lower + y`` when the lower bound is finite, ``x = upper - y`` when
+    only the upper one is, and ``x = y+ - y-`` (two adjacent columns) when
+    the variable is free; one slack column per inequality row comes last.
+    Returns ``a, b, cost, U``, which columns start at their upper bound
+    (those nearer to it than to 0 at the hint ``x0``), and ``recover``:
+    structural column k adds ``sign[k] * y_k`` to original variable
+    ``var[k]``, which starts from ``offset[var[k]]``."""
     n = problem.n_vars
-    sign = 1.0 if problem.sense == "min" else -1.0
-    c = sign * problem.c
-    lower, upper, x0 = problem.lower, problem.upper, problem.x0
-    a = np.vstack([problem.a_ub, problem.a_eq])
-    b = np.concatenate([problem.b_ub, problem.b_eq])
-
-    cols, costs, ubs, recover, start_upper = [], [], [], [], []
-    const = 0.0
-    for i in range(n):
-        lo, hi = lower[i], upper[i]
-        col = a[:, i]
-        if np.isfinite(lo):
-            # x = lo + y
-            b = b - col * lo
-            const += c[i] * lo
-            cols.append(col)
-            costs.append(c[i])
-            ubs.append(hi - lo)
-            recover.append(("shift", i, lo))
-            start_upper.append(x0 is not None and x0[i] - lo > hi - x0[i])
-        elif np.isfinite(hi):
-            # x = hi - y
-            b = b - col * hi
-            const += c[i] * hi
-            cols.append(-col)
-            costs.append(-c[i])
-            ubs.append(np.inf)
-            recover.append(("flip", i, hi))
-            start_upper.append(False)
-        else:
-            # free: x = y+ - y-
-            cols.append(col)
-            costs.append(c[i])
-            ubs.append(np.inf)
-            recover.append(("pos", i, 0.0))
-            cols.append(-col)
-            costs.append(-c[i])
-            ubs.append(np.inf)
-            recover.append(("neg", i, 0.0))
-            start_upper += [False, False]
-
     n_ub = problem.a_ub.shape[0]
-    for r in range(n_ub):
-        slack = np.zeros(a.shape[0])
-        slack[r] = 1.0
-        cols.append(slack)
-        costs.append(0.0)
-        ubs.append(np.inf)
-        recover.append(("slack", -1, 0.0))
-        start_upper.append(False)
+    lower, upper, x0 = problem.lower, problem.upper, problem.x0
+    shift = np.isfinite(lower)
+    flip = ~shift & np.isfinite(upper)
+    free = ~shift & ~flip
+    offset = np.where(shift, lower, np.where(flip, upper, 0.0))
+    width = 1 + free
+    var = np.repeat(np.arange(n), width)
+    negated = flip[var]
+    negated[np.cumsum(width)[free] - 1] = True  # the y- column of each free pair
+    sign = np.where(negated, -1.0, 1.0)
 
-    mat = np.column_stack(cols) if cols else np.zeros((a.shape[0], 0))
-    return (mat, b, np.array(costs), np.array(ubs), np.array(start_upper, dtype=bool),
-            recover, const, sign)
+    a = np.vstack([problem.a_ub, problem.a_eq])
+    n_struct = var.size
+    mat = np.hstack([a[:, var] * sign, np.eye(a.shape[0], n_ub)])
+    b = np.concatenate([problem.b_ub, problem.b_eq]) - a @ offset
+    cost = np.zeros(n_struct + n_ub)
+    cost[:n_struct] = (1.0 if problem.sense == "min" else -1.0) * problem.c[var] * sign
+    ubs = np.full(n_struct + n_ub, np.inf)
+    ubs[:n_struct] = np.where(shift, upper - offset, np.inf)[var]
+    start_upper = np.zeros(n_struct + n_ub, dtype=bool)
+    if x0 is not None:
+        start_upper[:n_struct] = (shift & (x0 - lower > upper - x0))[var]
+    return mat, b, cost, ubs, start_upper, (var, sign, offset)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve a bounded-variable LP; deterministic for identical input."""
-    mat, b, cost, ubs, at_upper, recover, const, sign = _normalize(problem)
+    mat, b, cost, ubs, at_upper, recover = _normalize(problem)
     m, n_cols = mat.shape
     n_ub = problem.a_ub.shape[0]
 
     # bound-only problem: each variable independently at its cheaper bound
     if m == 0:
-        x = np.zeros(n_cols)
-        for j in range(n_cols):
-            if cost[j] < 0:
-                if not np.isfinite(ubs[j]):
-                    return LpSolution(status="unbounded")
-                x[j] = ubs[j]
-        return _finish(problem, x, recover, const, sign)
+        down = cost < 0
+        if np.any(down & ~np.isfinite(ubs)):
+            return LpSolution(status="unbounded")
+        return _finish(problem, recover, np.where(down, ubs, 0.0), np.zeros(0))
 
     # slack crash: residual of each row with the columns at their start bounds
     resid = b - mat[:, at_upper] @ ubs[at_upper]
@@ -314,56 +306,58 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n_art = art_rows.size
     art = np.zeros((m, n_art))
     art[art_rows, np.arange(n_art)] = 1.0
-    ub_full = np.concatenate([ubs, np.full(n_art, np.inf)])
-    tab = _Tableau(np.hstack([mat, art]), np.abs(resid), ub_full)
-    tab.at_upper[:n_cols] = at_upper
-    tab.basis[slack_basic] = n_cols - n_ub + np.flatnonzero(slack_basic)
-    tab.basis[art_rows] = n_cols + np.arange(n_art)
+    basis = np.empty(m, dtype=int)
+    basis[slack_basic] = n_cols - n_ub + np.flatnonzero(slack_basic)
+    basis[art_rows] = n_cols + np.arange(n_art)
+    sx = _Simplex(np.hstack([mat, art]), np.abs(resid),
+                  np.concatenate([ubs, np.full(n_art, np.inf)]), basis,
+                  np.concatenate([at_upper, np.zeros(n_art, dtype=bool)]))
     phase1_cost = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
-    status = tab.run(phase1_cost, max_iter=20000 + 50 * (m + n_cols))
-    phase1 = tab.pivots
-    if status != "optimal" or float(phase1_cost[tab.basis] @ tab.xb) > 1e-8:
+    status = sx.run(phase1_cost, max_iter=20000 + 50 * (m + n_cols))
+    phase1 = sx.pivots
+    if status != "optimal" or float(phase1_cost[sx.basis] @ sx.xb) > 1e-8:
         return LpSolution(status="infeasible", phase1_pivots=phase1)
 
-    # drive artificials out of the basis; drop redundant rows
-    artificial = tab.basis >= n_cols
+    # drive the artificials out of the basis: each swaps with the first
+    # structural column it can pivot on, which keeps its nonbasic value, so
+    # no value moves.  An artificial with none marks its own row redundant.
+    redundant = []
+    for r in np.flatnonzero(sx.basis >= n_cols):
+        cand = np.flatnonzero(np.abs(sx.binv[r] @ mat) > 1e-9)
+        if not cand.size:
+            redundant.append(r)
+            continue
+        j = int(cand[0])
+        sx.xb[r] = ubs[j] if sx.at_upper[j] else 0.0
+        sx.at_upper[j] = False
+        sx.pivot(r, j, sx.binv @ sx.a[:, j])
     keep_rows = np.ones(m, dtype=bool)
-    for r in np.flatnonzero(artificial):
-        pivots = np.flatnonzero(np.abs(tab.t[r, :n_cols]) > 1e-9)
-        if pivots.size:
-            tab.degenerate_pivot(r, int(pivots[0]))
-        else:
-            keep_rows[r] = False
-    if not keep_rows.all():
-        tab.t = tab.t[keep_rows]
-        tab.xb = tab.xb[keep_rows]
-        tab.basis = tab.basis[keep_rows]
-        tab.m = int(keep_rows.sum())
-    tab.t = tab.t[:, :n_cols]
-    tab.n = n_cols
-    tab.upper = ub_full[:n_cols]
-    tab.at_upper = tab.at_upper[:n_cols]
+    sx.a, sx.upper, sx.at_upper = mat, ubs, sx.at_upper[:n_cols]
+    if redundant:
+        keep_rows[art_rows[sx.basis[redundant] - n_cols]] = False
+        keep = np.ones(m, dtype=bool)
+        keep[redundant] = False
+        sx.a, sx.basis, sx.xb = mat[keep_rows], sx.basis[keep], sx.xb[keep]
+        sx.refactor()
 
-    status = tab.run(cost, max_iter=20000 + 50 * (tab.m + n_cols))
-    counts = {"phase1_pivots": phase1, "phase2_pivots": tab.pivots}
+    status = sx.run(cost, max_iter=20000 + 50 * (keep_rows.sum() + n_cols))
+    counts = {"phase1_pivots": phase1, "phase2_pivots": sx.pivots}
     if status == "unbounded":
         return LpSolution(status="unbounded", **counts)
-    tab.resolve_basics(mat[keep_rows], b[keep_rows])
-    return _finish(problem, tab.solution(), recover, const, sign, **counts)
+    sx.resolve_basics(b[keep_rows])
+    # row duals of the normalized LP, B^T y = c_B, mapped back through the
+    # negated rows and the sense
+    y = np.zeros(m)
+    y[keep_rows] = np.linalg.solve(sx.a[:, sx.basis].T, cost[sx.basis])
+    duals = np.where(neg, -y, y) * (1.0 if problem.sense == "min" else -1.0)
+    return _finish(problem, recover, sx.solution(), duals, **counts)
 
 
-def _finish(problem: LpProblem, y: np.ndarray, recover, const, sign,
+def _finish(problem: LpProblem, recover, y: np.ndarray, duals: np.ndarray,
             **counts) -> LpSolution:
-    x = np.zeros(problem.n_vars)
-    for val, (kind, i, offset) in zip(y, recover):
-        if kind == "shift":
-            x[i] = offset + val
-        elif kind == "flip":
-            x[i] = offset - val
-        elif kind == "pos":
-            x[i] += val
-        elif kind == "neg":
-            x[i] -= val
+    """Map the normalized solution back, then certify feasibility."""
+    var, sign, offset = recover
+    x = offset + np.bincount(var, weights=sign * y[:var.size], minlength=problem.n_vars)
     # tidy roundoff against the declared bounds, then certify feasibility
     x = np.clip(x, problem.lower, problem.upper)
     if problem.a_ub.shape[0]:
@@ -375,4 +369,4 @@ def _finish(problem: LpProblem, y: np.ndarray, recover, const, sign,
         if resid.max(initial=0.0) > 1e-8:
             raise RuntimeError("simplex returned an infeasible point (equality)")
     return LpSolution(status="optimal", x=x, objective_value=float(problem.c @ x),
-                      **counts)
+                      duals=duals, **counts)

@@ -697,6 +697,39 @@ class TestBalanceRouteWork:
             atc_bound(data, "tv", SensitivityConfig(lambda_tv=0.1, direction=direction))
         assert lp_calls == []
 
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_band_rows_match_the_per_breakpoint_loop(self, lp_calls, ks_mode):
+        # per breakpoint: the indicator row where hi < 1, then its negation
+        # where lo > 0, as rows, order, signs and right-hand sides
+        data = _balance_sample(31)
+        cfg = SensitivityConfig(gamma=2.0, delta=0.1, m=20, balance_lambda=0.5,
+                                ks_mode=ks_mode)
+        plan = ds._control_bands(data.control_y, ecdf(data.treated_y),
+                                 shift_grid(data.y, cfg.m), ks_mode)
+        ctrl, cols = plan.capped(cfg.gamma), plan.bands.cols
+        lo, hi = plan.bands.at(cfg.delta)
+        bal = balance_terms(data, cfg.balance_lambda)
+        trimmed = 0
+        for j in range(lo.shape[0]):
+            ds._solve_balance_lp(data, cfg, bal, cols, lo[j], hi[j], ctrl, None)
+            rows_a, rows_b = [], []
+            for q, lo_q, hi_q in zip(cols[1:], lo[j, 1:], hi[j, 1:]):
+                row = (ctrl.inverse < q).astype(float)
+                if hi_q < 1:
+                    rows_a.append(row)
+                    rows_b.append(hi_q)
+                if lo_q > 0:
+                    rows_a.append(-row)
+                    rows_b.append(-lo_q)
+            k = len(rows_b)
+            trimmed += k < 2 * (cols.size - 1)
+            problem = lp_calls[-1]
+            assert np.array_equal(problem.a_ub[:k, :data.n0], np.reshape(rows_a, (k, data.n0)))
+            assert not problem.a_ub[:k, data.n0:].any()
+            assert problem.b_ub[:k].tolist() == rows_b
+            assert problem.a_ub.shape[0] == k + 2 * bal.n_covariates
+        assert trimmed  # some shift skips a trivial band side
+
     @pytest.mark.parametrize("form,direction,did,ks_mode", [
         ({"balance_lambda": 0.5}, "lower", False, "grid"),
         ({"balance_lambda": 0.5}, "upper", False, "grid"),

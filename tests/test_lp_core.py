@@ -7,7 +7,7 @@ import drci.dro_solvers
 import drci.lp_core
 from drci.distributions import Dataset
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
-from drci.lp_core import LpProblem, LpSolution, _Tableau, solve_lp
+from drci.lp_core import LpProblem, LpSolution, _Simplex, solve_lp
 
 from oracles import highs_solve, vertex_solve
 
@@ -126,6 +126,48 @@ class TestAgainstVertexOracle:
                 checked += 1
         assert checked > 100  # the generator must produce plenty of feasible LPs
 
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_duals_certify_optimality(self, sense):
+        # the problems of test_random_boxed_problems; a max problem is the
+        # min problem with c negated, and ``flip`` maps it back to min
+        rng = np.random.default_rng(11)
+        flip = 1.0 if sense == "min" else -1.0
+        checked = 0
+        for _ in range(400):
+            base = _random_problem(rng)
+            prob = replace(base, sense=sense, c=flip * base.c)
+            sol = solve_lp(prob)
+            if sol.status != "optimal":
+                assert sol.duals is None
+                continue
+            a = np.vstack([prob.a_ub, prob.a_eq])
+            b = np.concatenate([prob.b_ub, prob.b_eq])
+            y = flip * sol.duals
+            c = flip * prob.c
+            assert y.shape == b.shape
+            # dual feasibility: a <= row's multiplier is <= 0; a column above
+            # its lower bound has reduced cost <= 0, one below its upper >= 0
+            assert np.all(y[:prob.a_ub.shape[0]] <= 1e-9)
+            d = c - y @ a
+            assert np.all(d[sol.x > prob.lower + 1e-9] <= 1e-9)
+            assert np.all(d[sol.x < prob.upper - 1e-9] >= -1e-9)
+            primal = flip * sol.objective_value
+            dual = b @ y + np.where(d > 0, prob.lower, prob.upper) @ d
+            assert abs(primal - dual) <= 1e-9 * (1.0 + abs(primal))
+            checked += 1
+        assert checked > 100
+
+    def test_redundant_row_gets_zero_dual(self):
+        # the second equality is twice the first, so its artificial finds no
+        # column to leave onto: the row is dropped after phase 1 and its
+        # multiplier is 0.  x0 = 1 is basic, so the first row prices it at 1.
+        prob = LpProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
+                         lower=[0.0, 0.0], upper=[2.0, 2.0])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal"
+        assert sol.x.tolist() == [1.0, 0.0]
+        assert sol.duals.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
+
     def test_residuals_certified(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
@@ -139,6 +181,25 @@ class TestAgainstVertexOracle:
                 assert np.max(np.abs(prob.a_eq @ sol.x - prob.b_eq)) <= 1e-8
             assert np.all(sol.x >= prob.lower - 1e-9)
             assert np.all(sol.x <= prob.upper + 1e-9)
+
+
+class TestBoundKinds:
+    def test_free_and_one_sided_variables_match_highs(self):
+        # each variable boxed, bounded below only, above only, or free: the
+        # shifted, flipped and split columns of the normalization
+        rng = np.random.default_rng(18)
+        statuses = []
+        for _ in range(150):
+            prob = _random_problem(rng)
+            kind = rng.integers(0, 4, prob.n_vars)
+            lower = np.where((kind == 0) | (kind == 1), prob.lower, -np.inf)
+            upper = np.where((kind == 0) | (kind == 2), prob.upper, np.inf)
+            mixed = replace(prob, lower=lower, upper=upper)
+            sol = _assert_matches_highs(mixed)
+            if sol.status == "optimal":
+                assert np.all((lower - 1e-9 <= sol.x) & (sol.x <= upper + 1e-9))
+            statuses.append(sol.status)
+        assert statuses.count("optimal") > 10 and statuses.count("unbounded") > 10
 
 
 def _hints(prob, rng):
@@ -203,11 +264,11 @@ class TestAntiCycling:
     B = np.array([0.0, 0.0, 1.0])
 
     def _run_from_slack_basis(self):
-        tab = _Tableau(np.hstack([self.A, np.eye(3)]), self.B.copy(), np.full(7, np.inf))
-        tab.basis = np.arange(4, 7)
+        sx = _Simplex(np.hstack([self.A, np.eye(3)]), self.B.copy(), np.full(7, np.inf),
+                      np.arange(4, 7), np.zeros(7, dtype=bool))
         cost = np.concatenate([self.C, np.zeros(3)])
-        status = tab.run(cost, max_iter=500)
-        return status, float(cost[tab.basis] @ tab.xb)
+        status = sx.run(cost, max_iter=500)
+        return status, float(cost[sx.basis] @ sx.xb)
 
     def test_beale_terminates_at_oracle_optimum(self):
         prob = LpProblem(c=self.C, a_ub=self.A, b_ub=self.B, lower=np.zeros(4))
@@ -376,6 +437,33 @@ class TestPhaseOneExit:
         assert problems
         for prob in problems:
             assert _assert_matches_highs(prob).status == "optimal"
+
+
+class TestEarningsScale:
+    """The balance route on the lp_routes samples with outcomes in dollars
+    (y x 1e5, and the balance penalty x 1e5 so that the LP is the same up
+    to scale): the status is the unscaled run's, and the shift and the
+    estimate scale with y."""
+
+    @pytest.mark.parametrize("form,scaled_form", [
+        ({"balance_lambda": 0.5}, {"balance_lambda": 0.5e5}),
+        ({"balance_epsilon": 0.2}, {"balance_epsilon": 0.2}),
+    ], ids=["lambda", "epsilon"])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_scaled_outcomes_scale_the_bound(self, form, scaled_form, direction):
+        k = 1e5
+        for instance in range(12):
+            data = _balance_sample(0, instance)
+            big = Dataset(y=k * data.y, t=data.t, x=data.x)
+            base = SensitivityConfig(gamma=2.0, delta=0.1, m=20, direction=direction)
+            small = distributional_att_bound(data, replace(base, **form))
+            large = distributional_att_bound(big, replace(base, **scaled_form))
+            assert large.status == small.status
+            if small.status != "optimal":
+                continue
+            tol = 1e-9 * (1.0 + np.abs(big.control_y).max())
+            assert abs(large.active_shift - k * small.active_shift) <= tol
+            assert abs(large.estimate - k * small.estimate) <= tol
 
 
 def _empirical_sample(n0, n1=185, k=7, seed=1):
