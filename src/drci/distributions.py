@@ -21,6 +21,7 @@ generalized inverse is ``inf { y : F(y) >= p }``.  The shift ``c`` enters as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,6 +62,8 @@ class WeightedEcdf:
             raise ValueError("WeightedEcdf needs at least one atom")
         if atoms.shape != weights.shape:
             raise ValueError("atoms and weights must have equal length")
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise ValueError("atoms and weights must be finite")
         if np.any(np.diff(atoms) <= 0):
             raise ValueError("atoms must be strictly increasing")
         if np.any(weights < 0):
@@ -150,7 +153,7 @@ def shift_grid(values, m: int) -> ShiftGrid:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("shift_grid needs at least two values")
-    if m < 1:
+    if not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be a positive integer")
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo
@@ -165,17 +168,22 @@ def shift_grid(values, m: int) -> ShiftGrid:
 def ecdf(values, weights=None) -> WeightedEcdf:
     """Weighted ECDF of ``values``; duplicates merged, weights normalized.
 
-    Raises on empty input, negative weights, or zero total weight.
+    Raises on empty or non-finite input, negative weights, or zero total
+    weight.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("ecdf needs a nonempty 1-d value array")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     if weights is None:
         weights = np.full(values.size, 1.0 / values.size)
     else:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != values.shape:
             raise ValueError("values and weights must have equal length")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
     total = weights.sum()

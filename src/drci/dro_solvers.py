@@ -37,10 +37,11 @@ atoms at one ``gamma`` (:meth:`_SolvePlan.capped`) and runs one
 :func:`_shift_solve` at one ``delta``, which serves both directions.  Every
 distributional route here and in :mod:`drci.extensions` takes this path.  A
 single bound builds its plan and evaluates it once; a (gamma, delta) sweep
-builds one plan and evaluates it per cell; the Monte Carlo bias table builds
-one per replicate, stacks the scans of a block of replicates
-(:func:`_distributional_lower_block`) and reads only the lower bound's value,
-with no weights.
+builds one plan and evaluates it per cell.  The Monte Carlo bias table
+builds the plans of a block of replicates together, as padded rows
+(:func:`_block_plan`), caps them at every gamma at once, stacks the scans of
+the block (:func:`_distributional_lower_block`) and reads only the lower
+bound's value, with no weights.
 
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
 one LP per shift with band rows at the breakpoints.  The balance-free kernel
@@ -55,7 +56,7 @@ import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -312,29 +313,41 @@ def _pinned_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             & (lo[:, -1] <= 1 + _TOL) & (hi[:, -1] >= 1 - _TOL))
 
 
-def _bucket_means(ctrl: _ControlAtoms, cols: np.ndarray, cum: np.ndarray,
-                  from_top: bool) -> np.ndarray:
+def _bucket_means(ctrl, cols: np.ndarray, cum: np.ndarray, from_top: bool,
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """Weighted mean per row of the allocation with cumulative weight
     ``cum`` (S, L-1) at ``cols[1:]``, filling each bucket's mass greedily
     from its top atom (the least element) or its bottom atom (the greatest).
 
     Full atoms add a prefix-sum difference; one partial atom per bucket
     takes the rest, which also absorbs the rounding overshoot of the scans.
+    ``ctrl`` is one sample's :class:`_ControlAtoms`, whose ``cols`` (L,) all
+    rows share; or, with ``rows``, a block's :class:`_BlockCaps`, and row i
+    of ``cols`` (S, L) and ``cum`` takes its capacities from its row
+    ``rows[i]``.
     """
     p, q, atoms = ctrl.cum_caps, ctrl.cum_moments, ctrl.atoms
-    start, end = cols[:-1], cols[1:]
+    if rows is None:
+        at, search = operator.getitem, partial(np.searchsorted, p)
+    else:
+        def at(a, idx):
+            return a[rows[:, None], idx]
+        search = partial(ctrl.sorted_caps.searchsorted, rows=rows[:, None])
+    low = at(atoms, 0)
+    start, end = cols[..., :-1], cols[..., 1:]
     need = np.diff(cum, prepend=0.0, axis=1)
     if from_top:
-        cut = np.clip(np.searchsorted(p, p[end] - need), start, end)
-        full_mass, full_moment = p[end] - p[cut], q[end] - q[cut]
+        p_end = at(p, end)
+        cut = np.clip(search(p_end - need), start, end)
+        full_mass, full_moment = p_end - at(p, cut), at(q, end) - at(q, cut)
         edge = np.maximum(cut - 1, start)
     else:
-        cut = np.clip(np.searchsorted(p, p[start] + need, side="right") - 1,
-                      start, end)
-        full_mass, full_moment = p[cut] - p[start], q[cut] - q[start]
+        p_start = at(p, start)
+        cut = np.clip(search(p_start + need, side="right") - 1, start, end)
+        full_mass, full_moment = at(p, cut) - p_start, at(q, cut) - at(q, start)
         edge = np.minimum(cut, end - 1)
-    rest = (need - full_mass) * (atoms[edge] - atoms[0])
-    return atoms[0] + (full_moment + rest).sum(axis=1)
+    rest = (need - full_mass) * (at(atoms, edge) - low)
+    return (low + (full_moment + rest).sum(axis=1, keepdims=True))[..., 0]
 
 
 def _bucket_cumulative(cols: np.ndarray, c: np.ndarray, p: np.ndarray,
@@ -601,107 +614,320 @@ def _screen(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Survivors:
-    """The shifts of one dataset that pass :func:`_screen`: their bands at
-    delta (rows of ``lo``/``hi``) and ranks, with the dataset's breakpoint
-    columns, treated mean and capped atoms at each gamma."""
+class _SortedRows:
+    """Rows (B, W) of ascending values, searched row by row, exactly.
 
-    index: int
-    treated_mean: float
-    cols: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    ranks: np.ndarray
-    capped: list[_ControlAtoms]
+    NumPy orders complex numbers by their real part, then their imaginary
+    part.  So with each value's row as the real part and the value itself as
+    the imaginary part, the flattened rows ascend, and one
+    :func:`numpy.searchsorted` searches every row at once, comparing the
+    values themselves (a float offset per row would round them).
+    """
+
+    width: int
+    keys: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_SortedRows":
+        return cls(values.shape[1], _row_keys(np.arange(values.shape[0])[:, None],
+                                              values).ravel())
+
+    def searchsorted(self, x: np.ndarray, rows: np.ndarray,
+                     side: str = "left") -> np.ndarray:
+        """``np.searchsorted(values[r], v, side)`` for each ``v`` of ``x``
+        with its row ``r`` of ``rows`` (broadcast against ``x``)."""
+        return np.searchsorted(self.keys, _row_keys(rows, x), side) - self.width * rows
 
 
-def _distributional_lower_block(datasets, gammas, delta: float, m: int,
+def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The complex keys ``rows + 1j * values``, built without arithmetic."""
+    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
+    keys.real, keys.imag = rows, values
+    return keys
+
+
+@dataclass(frozen=True)
+class _BlockCaps:
+    """:meth:`_SolvePlan.capped` of every sample of a block: row i holds
+    sample i's ``atoms``, ``cum_caps`` and ``cum_moments``, padded on the
+    right with zero capacity, so the cumulative rows stay level there."""
+
+    atoms: np.ndarray
+    cum_caps: np.ndarray
+    cum_moments: np.ndarray
+    sorted_caps: _SortedRows
+
+
+@dataclass(frozen=True)
+class _BandGroup:
+    """The KS bands of the samples of a block whose bands share a width L.
+
+    ``bands.cols`` (M, L) holds one row of breakpoint columns per sample
+    ``samples[i]``, and row r of ``bands.top``/``bands.bottom`` is shift
+    ``shift[r]`` of sample ``samples[member[r]]``; the rows come sample by
+    sample, in the order of ``samples``.
+    """
+
+    samples: np.ndarray
+    member: np.ndarray
+    shift: np.ndarray
+    bands: _Bands
+
+
+@dataclass(frozen=True)
+class _BlockPlan:
+    """The :class:`_SolvePlan` of every sample of a block, as padded rows.
+
+    Row i is sample i: its K distinct control outcomes ``atoms[i, :K]``
+    (then the last repeated) with their ``counts`` (then 0), its S grid
+    shifts ``shifts[i, :S]`` (S = ``n_shifts[i]``: 1 for a degenerate grid,
+    else 2m+1) and their :attr:`ShiftGrid.rank` ``rank[i, :S]``.
+    ``inverse`` holds the atom of every control unit, the samples' units in
+    turn, and ``groups`` the bands, by width.
+    """
+
+    atoms: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+    n0: np.ndarray
+    treated_mean: np.ndarray
+    shifts: np.ndarray
+    rank: np.ndarray
+    n_shifts: np.ndarray
+    groups: tuple[_BandGroup, ...]
+
+    def capped(self, gammas: np.ndarray) -> _BlockCaps:
+        """The atoms with capacity gamma / n0 per unit at each of ``gammas``:
+        row ``j * B + i`` is sample i at ``gammas[j]``."""
+        caps = (self.counts * (gammas[:, None] / self.n0)[..., None]).reshape(
+            -1, self.counts.shape[1])
+        atoms = np.tile(self.atoms, (gammas.size, 1))
+        cum_caps = np.zeros((caps.shape[0], caps.shape[1] + 1))
+        cum_moments = np.zeros_like(cum_caps)
+        np.cumsum(caps, axis=1, out=cum_caps[:, 1:])
+        np.cumsum(caps * (atoms - atoms[:, :1]), axis=1, out=cum_moments[:, 1:])
+        return _BlockCaps(atoms, cum_caps, cum_moments, _SortedRows.of(cum_caps))
+
+
+def _row_atoms(values: np.ndarray, row: np.ndarray, n_rows: int):
+    """:func:`numpy.unique` of each row's ``values`` (``row`` ascending):
+    the atoms and counts as rows padded on the right as in
+    :class:`_BlockPlan`, the inverse (each value's atom in its row) and the
+    number of atoms per row."""
+    order = np.lexsort((values, row))
+    v, r = values[order], row[order]
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = (v[1:] != v[:-1]) | (r[1:] != r[:-1])
+    starts = np.flatnonzero(new)
+    atom_row = r[starts]
+    k = np.bincount(atom_row, minlength=n_rows)
+    first = np.cumsum(k) - k  # each row's first atom
+    pos = np.arange(starts.size) - first[atom_row]
+    atoms = np.repeat(v[starts[first + k - 1]][:, None], k.max(), axis=1)
+    counts = np.zeros(atoms.shape, dtype=np.intp)
+    atoms[atom_row, pos] = v[starts]
+    counts[atom_row, pos] = np.diff(starts, append=v.size)
+    inverse = np.empty(v.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1 - first[r]
+    return atoms, counts, inverse, k
+
+
+def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
+    """The :func:`_distributional_plan` of every sample ``(y, t)`` of
+    ``draws`` (both arms nonempty), value for value, built for the block at
+    once: row-wise sorts give the distinct atoms of both arms, the treated
+    ECDF masses are summed in :func:`~drci.distributions.ecdf`'s order, and
+    each row's shift grid comes from its extremes as in
+    :func:`~drci.distributions.shift_grid`.
+
+    In grid mode the breakpoint columns and treated-CDF values of all
+    non-degenerate grids come from one :meth:`_SortedRows.searchsorted` per
+    arm.  The treated CDF along the double grid is nondecreasing, so the
+    extremes over the evaluation points of a column, which
+    :func:`~drci.distributions._bands` takes with ``reduceat``, are the CDF
+    at its last and first point.  Exact-KS and degenerate rows run
+    :func:`~drci.distributions._bands` row by row.
+    """
+    ys = [np.asarray(y, dtype=float) for y, _ in draws]
+    arms = [np.asarray(t) == 1 for _, t in draws]
+    n_rows = len(ys)
+    y, treated = np.concatenate(ys), np.concatenate(arms)
+    sizes = np.array([v.size for v in ys])
+    unit_row = np.repeat(np.arange(n_rows), sizes)
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(y, starts)
+    span = np.maximum.reduceat(y, starts) - lo
+    eps = span / m
+    steps = np.arange(2 * m + 1)
+    shifts = -span[:, None] + eps[:, None] * steps
+    shifts[:, m] = 0.0  # as shift_grid; an all-zero row where span == 0
+    rank = np.empty_like(steps, shape=shifts.shape)
+    np.put_along_axis(rank, np.lexsort((shifts, np.abs(shifts))),
+                      np.broadcast_to(steps, shifts.shape), axis=1)
+    n_shifts = np.where(span == 0, 1, steps.size)
+
+    atoms, counts, inverse, k0 = _row_atoms(y[~treated], unit_row[~treated], n_rows)
+    t_atoms, t_counts, _, k1 = _row_atoms(y[treated], unit_row[treated], n_rows)
+    # ecdf: each atom's mass is 1/n1 added once per unit, over the pairwise
+    # sum of the n1 unit weights
+    n1 = np.bincount(unit_row[treated], minlength=n_rows)
+    added = np.cumsum(np.broadcast_to((1.0 / n1)[:, None], (n_rows, n1.max())), axis=1)
+    total = np.array([np.full(k, 1.0 / k).sum() for k in n1.tolist()])
+    masses = np.where(t_counts > 0, np.take_along_axis(
+        added, np.maximum(t_counts - 1, 0), axis=1), 0.0) / total[:, None]
+    t_cdf = np.zeros((n_rows, masses.shape[1] + 1))  # [0, WeightedEcdf.cum]
+    t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
+    t_cdf[np.arange(n_rows), k1] = 1.0
+
+    parts: dict[int, list[_BandGroup]] = {}
+    on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
+    grid_rows = np.flatnonzero(on_grid)
+    if grid_rows.size:
+        g, at = grid_rows[:, None], np.arange(grid_rows.size)[:, None]
+        # searches past a row's last atom also count its padding
+        idx = np.minimum(_SortedRows.of(atoms[grid_rows]).searchsorted(
+            lo[g] + steps * eps[g], at, side="right"), k0[g])
+        line = (lo[g] + -span[g]) + np.arange(4 * m + 1) * eps[g]  # anchor + c0 + ...
+        t_idx = np.minimum(_SortedRows.of(t_atoms[grid_rows]).searchsorted(
+            line, at, side="right"), k1[g])
+        for group in _grid_band_groups(grid_rows, idx, t_cdf[g, t_idx], k0[grid_rows]):
+            parts.setdefault(group.bands.cols.shape[1], []).append(group)
+    for i in np.flatnonzero(~on_grid):
+        grid = ShiftGrid(c0=-span[i], epsilon=eps[i], m=m, anchor=lo[i],
+                         shifts=shifts[i, :n_shifts[i]])
+        target = WeightedEcdf(t_atoms[i, :k1[i]], masses[i, :k1[i]])
+        bands = _bands(atoms[i, :k0[i]], target, grid, ks_mode)
+        parts.setdefault(k0[i] + 1, []).append(_BandGroup(
+            np.array([i]), np.zeros(n_shifts[i], dtype=np.intp),
+            np.arange(n_shifts[i]), replace(bands, cols=bands.cols[None])))
+
+    return _BlockPlan(
+        atoms=atoms, counts=counts, inverse=inverse, n0=sizes - n1,
+        treated_mean=np.array([v[t].mean() for v, t in zip(ys, arms)]),
+        shifts=shifts, rank=rank, n_shifts=n_shifts,
+        groups=tuple(_merge_groups(same) for same in parts.values()))
+
+
+def _grid_band_groups(rows: np.ndarray, idx: np.ndarray, line: np.ndarray,
+                      n_atoms: np.ndarray) -> list[_BandGroup]:
+    """The grid-mode bands of the samples ``rows``, grouped by width, from
+    ``idx`` (G, 2m+1), the number of control atoms up to each evaluation
+    point, and ``line`` (G, 4m+1), the treated CDF along the double grid.
+
+    Shift j compares the points with ``line[j:j + 2m + 1]``.  The columns
+    are the distinct ``idx`` with the pinned 0 and K, and a hit column's
+    band takes the line at its last (``top``) and first (``bottom``) point.
+    """
+    n_points = idx.shape[1]
+    new = np.ones(idx.shape, dtype=bool)
+    new[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    ends = np.ones(idx.shape, dtype=bool)
+    ends[:, :-1] = new[:, 1:]
+    hit_row, k_first = np.nonzero(new)
+    k_last = np.nonzero(ends)[1]
+    lead = idx[:, 0] != 0  # column 0 when no point hits it
+    tail = idx[:, -1] != n_atoms  # column K likewise
+    hits = np.bincount(hit_row, minlength=rows.size)
+    width = hits + lead + tail
+    start = np.cumsum(width) - width
+    pos = (start + lead - (np.cumsum(hits) - hits))[hit_row] + np.arange(hit_row.size)
+    col = np.zeros(width.sum(), dtype=np.intp)
+    first = np.full(col.size, -1)
+    last = np.full(col.size, -1)
+    col[pos], first[pos], last[pos] = idx[hit_row, k_first], k_first, k_last
+    col[(start + width - 1)[tail]] = n_atoms[tail]
+
+    # windows[i, k] = line[i, k:k + 2m + 1], the CDF values at point k for every shift
+    windows = np.lib.stride_tricks.sliding_window_view(line, n_points, axis=1)
+    groups = []
+    for size in np.unique(width):
+        members = np.flatnonzero(width == size)
+        entry = start[members, None] + np.arange(size)
+        free = last[entry] < 0  # an unhit pinned column
+        top = windows[members[:, None], last[entry]]  # (M, L, S)
+        bottom = windows[members[:, None], first[entry]]
+        top[free], bottom[free] = -np.inf, np.inf
+        groups.append(_BandGroup(
+            rows[members], np.repeat(np.arange(members.size), n_points),
+            np.tile(np.arange(n_points), members.size),
+            _Bands(col[entry], top.transpose(0, 2, 1).reshape(-1, size),
+                   bottom.transpose(0, 2, 1).reshape(-1, size))))
+    return groups
+
+
+def _merge_groups(groups: list[_BandGroup]) -> _BandGroup:
+    """One group of the samples of ``groups``, which share a width."""
+    if len(groups) == 1:
+        return groups[0]
+    offsets = np.cumsum([0] + [g.samples.size for g in groups[:-1]])
+    return _BandGroup(
+        np.concatenate([g.samples for g in groups]),
+        np.concatenate([g.member + o for g, o in zip(groups, offsets)]),
+        np.concatenate([g.shift for g in groups]),
+        _Bands(*(np.concatenate([getattr(g.bands, name) for g in groups])
+                 for name in ("cols", "top", "bottom"))))
+
+
+def _distributional_lower_block(draws, gammas, delta: float, m: int,
                                 ks_mode: str) -> np.ndarray:
     """``distributional_att_bound(...).estimate`` of the lower bound of each
-    of ``datasets`` (rows) at each of ``gammas`` (columns), bit for bit (NaN
-    where infeasible), with no weights, SE or :class:`BoundResult`.
+    sample ``(y, t)`` of ``draws`` (rows, both arms nonempty) at each of
+    ``gammas`` (columns), bit for bit (NaN where infeasible), with no
+    weights, SE or :class:`BoundResult`.
 
-    Each dataset gets its own plan, and the shifts that :func:`_screen` finds
-    infeasible at every gamma are dropped before any scan.  The surviving
-    shifts of all datasets whose bands share a width L are stacked into one
+    One :func:`_block_plan` serves the block, capped once per gamma for all
+    samples.  Per band width, :func:`_screen` drops the shifts infeasible at
+    every gamma, and the rest are stacked into one
     :func:`_breakpoint_extremes` call per gamma, each row with its own
-    dataset's capacities; the scans work row by row, so each row gets the
-    values of its own dataset's scan.  The top-filled bucket means of the
-    feasible rows then take :func:`_bucket_means`' elementwise steps, with
-    each dataset's own ``searchsorted`` and one row sum over the same L - 1
-    terms, and each dataset's shift is picked by :func:`_select_shift`'s rule.
+    sample's capacities; the scans work row by row, so each row gets the
+    values of its own sample's scan.  The feasible rows' top-filled bucket
+    means come from :func:`_bucket_means` with a row-wise search, and each
+    sample's shift is picked by :func:`_select_shift`'s rule.
     """
-    gammas = [float(g) for g in gammas]
-    out = np.full((len(datasets), len(gammas)), np.nan)
-    groups: dict[int, list[_Survivors]] = {}
-    for index, data in enumerate(datasets):
-        plan = _distributional_plan(data, m, ks_mode)
-        lo, hi = plan.bands.at(delta)
-        rows = np.flatnonzero(_screen(lo, hi, max(gammas)))
+    gammas = np.array([float(g) for g in gammas])
+    plan = _block_plan(draws, m, ks_mode)
+    out = np.full((plan.n0.size, gammas.size), np.nan)
+    caps = plan.capped(gammas)
+    for group in plan.groups:
+        lo, hi = group.bands.at(delta)
+        rows = np.flatnonzero(_screen(lo, hi, gammas.max()))
         if rows.size:
-            groups.setdefault(plan.bands.cols.size, []).append(_Survivors(
-                index, float(data.treated_y.mean()), plan.bands.cols, lo[rows],
-                hi[rows], plan.grid.rank[rows], [plan.capped(g) for g in gammas]))
-    # smallest groups first, each dropped once scanned: the largest scan
-    # runs with the fewest other survivors held
-    for width in sorted(groups, key=lambda w: len(groups[w])):
-        _lower_block_scan(groups.pop(width), out)
+            _lower_block_scan(plan, group, rows, lo[rows], hi[rows], caps, out)
     return out
 
 
-def _lower_block_scan(members: list[_Survivors], out: np.ndarray) -> None:
-    """Fill ``out[member.index, gamma]`` for datasets whose bands share one
-    width L, from one stacked scan per gamma."""
-    lo = np.concatenate([s.lo for s in members])
-    hi = np.concatenate([s.hi for s in members])
-    ranks = np.concatenate([s.ranks for s in members])
-    owner = np.repeat(np.arange(len(members)), [s.ranks.size for s in members])
-    cols = np.stack([s.cols for s in members])
-    # offsets of each member's K+1 capacities (and K atoms) in the flat arrays
-    offsets = np.concatenate(([0], np.cumsum(cols[:, -1] + 1)[:-1]))
-    atoms0 = np.array([s.capped[0].atoms[0] for s in members])
-    rel_atoms = np.concatenate([s.capped[0].atoms - s.capped[0].atoms[0] for s in members])
-    treated_means = np.array([s.treated_mean for s in members])
-    index = np.array([s.index for s in members])
-
+def _lower_block_scan(plan: _BlockPlan, group: _BandGroup, rows: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray, caps: _BlockCaps,
+                      out: np.ndarray) -> None:
+    """Fill ``out[sample, gamma]`` from the bands ``lo``/``hi`` of the
+    ``rows`` of one width group: one scan per gamma, then the bucket means
+    of the rows feasible at any gamma in one call."""
+    member = group.member[rows]
+    sample = group.samples[member]
+    cols = group.bands.cols[member]
+    ranks = plan.rank[sample, group.shift[rows]]
+    scans = []  # per gamma: the feasible rows, their caps rows, c_least
     for j in range(out.shape[1]):
-        ctrls = [s.capped[j] for s in members]
-        p = np.stack([c.cum_caps[s.cols] for c, s in zip(ctrls, members)])[owner]
-        feasible, c_least = _breakpoint_extremes(lo, hi, p)[:2]
+        at_gamma = j * out.shape[0] + sample
+        feasible, c_least = _breakpoint_extremes(
+            lo, hi, caps.cum_caps[at_gamma[:, None], cols])[:2]
         f = np.flatnonzero(feasible)
-        if not f.size:
-            continue
-        who = owner[f]
-        start, end = cols[who, :-1], cols[who, 1:]
-        # _bucket_means(from_top=True) on the feasible rows
-        need = np.diff(c_least[f], prepend=0.0, axis=1)
-        p_end = p[f, 1:]
-        del p, c_least  # free the stacked rows: only the feasible ones go on
-        target = p_end - need
-        cut = np.empty(target.shape, dtype=np.intp)
-        bounds = np.searchsorted(who, np.arange(len(members) + 1))
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            if a < b:
-                cut[a:b] = np.searchsorted(ctrls[i].cum_caps, target[a:b])
-        cut = np.clip(cut, start, end)
-        off = offsets[who, None]
-        p_flat = np.concatenate([c.cum_caps for c in ctrls])
-        q_flat = np.concatenate([c.cum_moments for c in ctrls])
-        full_mass = p_end - p_flat[cut + off]
-        full_moment = q_flat[end + off] - q_flat[cut + off]
-        edge = np.maximum(cut - 1, start)
-        rest = (need - full_mass) * rel_atoms[edge + off - who[:, None]]
-        values = atoms0[who] + (full_moment + rest).sum(axis=1)
-
-        # _select_shift per member: the best value, values within _TIE_TOL
-        # of it tie, and ties go to the lowest rank
-        first = np.flatnonzero(np.diff(who, prepend=-1))
-        best = np.maximum.reduceat(values, first)
-        cand = np.flatnonzero(
-            np.abs(values - np.repeat(best, np.diff(first, append=f.size))) <= _TIE_TOL)
-        order = cand[np.lexsort((ranks[f[cand]], who[cand]))]
-        pick = order[np.diff(who[order], prepend=-1) != 0]
-        out[index[who[pick]], j] = treated_means[who[pick]] - values[pick]
+        scans.append((np.full(f.size, j), f, at_gamma[f], c_least[f]))
+    j, r, at, c_least = (np.concatenate(a) for a in zip(*scans))
+    if not r.size:
+        return
+    values = _bucket_means(caps, cols[r], c_least, from_top=True, rows=at)
+    # _select_shift per sample and gamma: the best value, values within
+    # _TIE_TOL of it tie, and ties go to the lowest rank
+    who = j * group.samples.size + member[r]
+    first = np.flatnonzero(np.diff(who, prepend=-1))
+    best = np.maximum.reduceat(values, first)
+    cand = np.flatnonzero(
+        np.abs(values - np.repeat(best, np.diff(first, append=r.size))) <= _TIE_TOL)
+    order = cand[np.lexsort((ranks[r[cand]], who[cand]))]
+    pick = order[np.diff(who[order], prepend=-1) != 0]
+    won = sample[r[pick]]
+    out[won, j[pick]] = plan.treated_mean[won] - values[pick]
 
 
 def _distributional_lp_route(

@@ -49,13 +49,18 @@ _BLOCK = 32  # replications drawn and solved together by run_monte_carlo
 
 @dataclass(frozen=True)
 class Scenario:
-    """DGP parameters: baseline effect, confounded effect, confounder rate."""
+    """DGP parameters: baseline effect, confounded effect, confounder rate.
+
+    The effects must be finite and the rate a probability, so every draw's
+    outcomes are finite."""
 
     tau1: float
     tau2: float
     p: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau1) and math.isfinite(self.tau2)):
+            raise ValueError("tau1 and tau2 must be finite")
         if not 0 <= self.p <= 1:
             raise ValueError("p must be a probability")
 
@@ -72,8 +77,20 @@ def generate_scenario(s: Scenario, n: int, seed) -> Dataset:
 
 
 def _check_n(n) -> None:
-    if not isinstance(n, numbers.Integral) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError("n must be an integer >= 2")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer or a sequence of them."""
+    items = seed if isinstance(seed, (tuple, list, np.ndarray)) else (seed,)
+    if not all(_is_int(x) and x >= 0 for x in items):
+        raise ValueError(
+            f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
 
 
 def _draw(s: Scenario, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -89,12 +106,13 @@ def _draw(s: Scenario, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return y, t
 
 
-def _capped_marginal_lowers(data: Dataset, gammas) -> list[float]:
-    """Marginal-model lower bound at each of ``gammas`` with only the shared
-    cap ``gamma/n0`` on the weights (no positive floor), keeping the weight
-    box identical across the two models in the bias tables."""
-    y0 = np.sort(data.control_y)[::-1]
-    treated_mean = data.treated_y.mean()
+def _capped_marginal_lowers(y: np.ndarray, t: np.ndarray, gammas) -> list[float]:
+    """Marginal-model lower bound of the sample ``(y, t)`` at each of
+    ``gammas`` with only the shared cap ``gamma/n0`` on the weights (no
+    positive floor), keeping the weight box identical across the two models
+    in the bias tables."""
+    y0 = np.sort(y[t == 0])[::-1]
+    treated_mean = y[t == 1].mean()
     out = []
     for gamma in gammas:
         cap = gamma / y0.size
@@ -158,19 +176,23 @@ def run_monte_carlo(
     :class:`SensitivityConfig` checks them, for every model, and ``models``
     and ``gammas`` must be nonempty and hold no repeats.
 
-    Replications are drawn and solved in blocks of ``_BLOCK``.  The marginal
-    cells sort each replication's controls once for all gammas.  The
-    distributional cells are the lower
-    :func:`~drci.dro_solvers.distributional_att_bound` estimates bit for bit,
-    computed without weights or standard errors by
-    :func:`~drci.dro_solvers._distributional_lower_block`: one solve plan
-    per replication, a gamma-free screen that drops the shifts infeasible at
-    every gamma, and one breakpoint scan per gamma over the surviving shifts
-    of all replications in the block whose bands share a width.
+    Replications are drawn and solved in blocks of ``_BLOCK``, as the drawn
+    ``(y, t)`` arrays: no :class:`~drci.distributions.Dataset` is built, as
+    the draw is finite and binary by construction.  ``seed`` is a
+    non-negative integer or a sequence of them.  The marginal cells sort
+    each replication's controls once for all gammas.  The distributional
+    cells are the lower :func:`~drci.dro_solvers.distributional_att_bound`
+    estimates bit for bit, computed without weights or standard errors by
+    :func:`~drci.dro_solvers._distributional_lower_block`: the solve plans
+    of the whole block in one vectorized pass, a gamma-free screen that
+    drops the shifts infeasible at every gamma, and one breakpoint scan per
+    gamma over the surviving shifts of all replications in the block whose
+    bands share a width.
     """
     _check_n(n)
-    if not isinstance(reps, numbers.Integral) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ValueError("reps must be a positive integer")
+    _check_seed(seed)
     models = tuple(models)
     gammas = tuple(float(g) for g in gammas)
     if not models or not gammas:
@@ -187,17 +209,14 @@ def run_monte_carlo(
     # per model, one (replications, gammas) array of estimates per block
     blocks: dict[str, list[np.ndarray]] = {model: [] for model in models}
     for first in range(0, reps, _BLOCK):
-        block = []
-        for rep in range(first, min(first + _BLOCK, reps)):
-            y, t = _draw(s, n, (seed, rep))
-            if 0 < t.sum() < n:  # both arms drawn
-                block.append(Dataset(y=y, t=t))
+        draws = (_draw(s, n, (seed, rep)) for rep in range(first, min(first + _BLOCK, reps)))
+        block = [(y, t) for y, t in draws if 0 < t.sum() < n]  # both arms drawn
         if not block:
             continue
         for model in models:
             if model == "marginal":
                 blocks[model].append(np.array(
-                    [_capped_marginal_lowers(data, gammas) for data in block]))
+                    [_capped_marginal_lowers(y, t, gammas) for y, t in block]))
             else:
                 blocks[model].append(
                     _distributional_lower_block(block, gammas, delta, m, ks_mode))

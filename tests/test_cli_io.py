@@ -700,6 +700,17 @@ class TestMain:
         assert main(["simulate", flag, value]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag,value", [("--tau1", "nan"), ("--tau2", "inf")])
+    def test_simulate_rejects_nonfinite_effects(self, capsys, flag, value):
+        assert main(["simulate", flag, value]) == 1
+        assert capsys.readouterr().err == "error: tau1 and tau2 must be finite\n"
+
+    def test_simulate_rejects_a_null_seed(self, capsys, tmp_path):
+        conf = tmp_path / "sim.json"
+        conf.write_text('{"seed": null, "reps": 2}')
+        assert main(["simulate", "--config", str(conf)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+
     def test_sweep_command(self, fixture_csv, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--input", fixture_csv, "--model",

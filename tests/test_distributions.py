@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from oracles import brute_shift_ks
 
 from drci.distributions import (
     Dataset,
+    WeightedEcdf,
     cic_target_cdf,
     d0,
     ecdf,
@@ -46,6 +49,20 @@ class TestEcdf:
             ecdf([1, 2], [0.0, 0.0])
         with pytest.raises(ValueError):
             ecdf([1, 2], [0.5])
+
+    @pytest.mark.parametrize("values,weights", [
+        ([1.0, math.nan, 2.0], None), ([1.0, math.inf], None), ([1.0, 2.0], [0.5, math.nan]),
+        ([1.0, 2.0], [1.0, math.inf])],
+        ids=["nan_value", "inf_value", "nan_weight", "inf_weight"])
+    def test_rejects_nonfinite_input(self, values, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            ecdf(values, weights)
+
+    @pytest.mark.parametrize("atoms,weights", [([0.0, math.inf], [0.5, 0.5]),
+                                               ([0.0, 1.0], [math.nan, 0.5])])
+    def test_weighted_ecdf_rejects_nonfinite_input(self, atoms, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            WeightedEcdf(np.array(atoms), np.array(weights))
 
     def test_invariants_random(self):
         rng = np.random.default_rng(0)
@@ -281,6 +298,8 @@ class TestShiftGrid:
             shift_grid([1.0], 3)
         with pytest.raises(ValueError):
             shift_grid([0.0, 1.0], 0)
+        with pytest.raises(ValueError, match="^m must be a positive integer$"):
+            shift_grid([0.0, 1.0], 2.5)
 
     @pytest.mark.parametrize("values,m", [([0.0, 10.0], 5), ([3.0, 3.0, 3.0], 4),
                                           ([-7.3, -1.2, 0.4], 6)],

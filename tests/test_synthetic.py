@@ -6,6 +6,7 @@ import pytest
 
 import drci.dro_solvers as ds
 import drci.synthetic as syn
+from drci.distributions import Dataset
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
 from drci.synthetic import Scenario, generate_scenario, run_monte_carlo, true_att
 
@@ -59,6 +60,13 @@ class TestGenerateScenario:
             generate_scenario(Scenario(2, 3, 0.5), 2.5, 0)
         with pytest.raises(ValueError):
             Scenario(2, 3, 1.5)
+        with pytest.raises(ValueError, match="^n must be an integer >= 2$"):
+            generate_scenario(Scenario(2, 3, 0.5), True, 0)
+
+    @pytest.mark.parametrize("tau1,tau2", [(math.nan, 3), (2, math.inf), (-math.inf, 3)])
+    def test_nonfinite_effects_rejected(self, tau1, tau2):
+        with pytest.raises(ValueError, match="^tau1 and tau2 must be finite$"):
+            Scenario(tau1, tau2, 0.5)
 
 
 class TestRunMonteCarlo:
@@ -100,16 +108,25 @@ class TestRunMonteCarlo:
         {"gammas": (0.5,)}, {"delta": 7.0}, {"gammas": (math.nan,)},
         {"gammas": (math.inf,)}, {"m": 0}, {"ks_mode": "luck"}, {"models": ()},
         {"gammas": ()}, {"gammas": (2.0, 2.0)}, {"models": ("marginal", "marginal")},
-        {"reps": 2.5}, {"n": 100.5},
+        {"reps": 2.5}, {"n": 100.5}, {"reps": True}, {"n": True}, {"seed": None},
+        {"seed": -1}, {"seed": 1.5}, {"seed": (3, -4)}, {"seed": "7"}, {"seed": True},
     ], ids=["gamma_below_one", "delta_above_one", "gamma_nan", "gamma_inf", "m_zero",
             "ks_mode", "no_models", "no_gammas", "repeated_gamma", "repeated_model",
-            "reps_not_integer", "n_not_integer"])
+            "reps_not_integer", "n_not_integer", "reps_bool", "n_bool", "seed_none",
+            "seed_negative", "seed_fractional", "seed_sequence_negative", "seed_text",
+            "seed_bool"])
     def test_bad_knobs_rejected_for_a_marginal_table(self, bad):
         # the marginal cells never build a SensitivityConfig of their own
         args = {"s": Scenario(2, 3, 0.5), "n": 60, "reps": 5, "models": ("marginal",),
                 "gammas": (2.0,), "delta": 0.1, "seed": 0, **bad}
         with pytest.raises(ValueError):
             run_monte_carlo(**args)
+
+    @pytest.mark.parametrize("seed", [0, (3, 4), [5], np.array([6, 7])],
+                             ids=["int", "tuple", "list", "array"])
+    def test_seed_forms_accepted(self, seed):
+        table = run_monte_carlo(Scenario(2, 3, 0.5), 20, 3, ("marginal",), (2.0,), 0.1, seed)
+        assert table.cell("marginal", 2.0).replications == 3
 
     @pytest.mark.parametrize("ks_mode,delta", [("grid", 0.03), ("exact_atoms", 0.08)])
     def test_distributional_cells_are_the_bound_estimates(self, ks_mode, delta):
@@ -119,7 +136,8 @@ class TestRunMonteCarlo:
         per_gamma = {g: [] for g in gammas}
         for rep in range(reps):
             data = generate_scenario(s, n, (49, rep))
-            got = ds._distributional_lower_block([data], gammas, delta, m, ks_mode)[0]
+            got = ds._distributional_lower_block([(data.y, data.t)], gammas, delta, m,
+                                                  ks_mode)[0]
             want = [distributional_att_bound(data, SensitivityConfig(
                 gamma=g, delta=delta, m=m, ks_mode=ks_mode)).estimate for g in gammas]
             np.testing.assert_array_equal(got, want, strict=True)
@@ -214,7 +232,8 @@ class TestLowerBlock:
         reps = syn._BLOCK + 7
         datasets = [generate_scenario(s, n, (50, rep)) for rep in range(reps)]
         want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
-        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        got = ds._distributional_lower_block([(d.y, d.t) for d in datasets], gammas, delta,
+                                              m, ks_mode)
         np.testing.assert_array_equal(got, want, strict=True)
         table = run_monte_carlo(s, n, reps, ("distributional",), gammas, delta, 50,
                                 m=m, ks_mode=ks_mode)
@@ -231,7 +250,8 @@ class TestLowerBlock:
         datasets = [generate_scenario(s, n, (51, n)) for n in (9, 16, 25, 40, 40, 70)]
         widths = {ds._distributional_plan(d, m, ks_mode).bands.cols.size for d in datasets}
         assert len(widths) >= 3
-        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        got = ds._distributional_lower_block([(d.y, d.t) for d in datasets], gammas, delta,
+                                              m, ks_mode)
         want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
         np.testing.assert_array_equal(got, want, strict=True)
 
@@ -239,8 +259,68 @@ class TestLowerBlock:
     def test_replications_with_no_feasible_shift(self, ks_mode, delta):
         s, gammas, m = Scenario(2, 3, 0.5), (1.5, 3.0), 10
         datasets = [generate_scenario(s, 80, (52, rep)) for rep in range(30)]
-        got = ds._distributional_lower_block(datasets, gammas, delta, m, ks_mode)
+        got = ds._distributional_lower_block([(d.y, d.t) for d in datasets], gammas, delta,
+                                              m, ks_mode)
         want = _bound_estimates(datasets, gammas, delta, m, ks_mode)
         np.testing.assert_array_equal(got, want, strict=True)
         none = np.isnan(want).all(axis=1)
         assert none.any() and not none.all()
+
+
+def _block_samples():
+    """Samples of ragged arm sizes, with tied outcomes (rounded draws), one
+    whose outcomes are all equal (a degenerate shift grid) and one with a
+    single treated unit."""
+    s = Scenario(2, 3, 0.5)
+    samples = [generate_scenario(s, n, (53, n)) for n in (7, 12, 30, 30, 45)]
+    samples += [Dataset(np.round(d.y, 1), d.t)
+                for d in (generate_scenario(s, n, (54, n)) for n in (25, 60))]
+    # up to 12 tied units per atom: a count times 1/n1 can differ from their sum
+    heavy = generate_scenario(s, 80, (56, 80))
+    samples.append(Dataset(np.round(heavy.y), heavy.t))
+    samples.append(Dataset(np.full(9, 1.5), np.arange(9) % 2))
+    one = generate_scenario(s, 15, (55, 0))
+    samples.append(Dataset(one.y, np.arange(15) == 4))
+    return samples
+
+
+class TestBlockPlan:
+    """The block builder against the per-sample plans, field by field."""
+
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_rows_are_the_sample_plans(self, ks_mode):
+        samples, m = _block_samples(), 6
+        plan = ds._block_plan([(d.y, d.t) for d in samples], m, ks_mode)
+        inverses = np.split(plan.inverse, np.cumsum(plan.n0)[:-1])
+        assert plan.n_shifts.tolist().count(1) == 1
+        for i, data in enumerate(samples):
+            want = ds._distributional_plan(data, m, ks_mode)
+            k, n_shifts = want.atoms.size, want.grid.shifts.size
+            np.testing.assert_array_equal(plan.atoms[i, :k], want.atoms, strict=True)
+            np.testing.assert_array_equal(plan.counts[i, :k], want.counts, strict=True)
+            assert not plan.counts[i, k:].any()
+            np.testing.assert_array_equal(inverses[i], want.inverse, strict=True)
+            assert plan.n_shifts[i] == n_shifts
+            np.testing.assert_array_equal(plan.shifts[i, :n_shifts], want.grid.shifts,
+                                          strict=True)
+            np.testing.assert_array_equal(plan.rank[i, :n_shifts], want.grid.rank,
+                                          strict=True)
+            (group,) = [g for g in plan.groups if i in g.samples]
+            member = np.flatnonzero(group.samples == i)[0]
+            rows = np.flatnonzero(group.member == member)
+            np.testing.assert_array_equal(group.shift[rows], np.arange(n_shifts))
+            np.testing.assert_array_equal(group.bands.cols[member], want.bands.cols,
+                                          strict=True)
+            np.testing.assert_array_equal(group.bands.top[rows], want.bands.top, strict=True)
+            np.testing.assert_array_equal(group.bands.bottom[rows], want.bands.bottom,
+                                          strict=True)
+            assert plan.treated_mean[i] == data.treated_y.mean()
+
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_block_values_are_the_bound_estimates(self, ks_mode):
+        samples, gammas, delta, m = _block_samples(), (1.2, 2.0, 1e8), 0.2, 6
+        got = ds._distributional_lower_block([(d.y, d.t) for d in samples], gammas, delta,
+                                              m, ks_mode)
+        want = _bound_estimates(samples, gammas, delta, m, ks_mode)
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert not np.isnan(want).all()
