@@ -105,7 +105,8 @@ class RunConfig:
 
     def echo(self) -> dict:
         out = asdict(self)
-        out["epsilon"] = _json_float(self.epsilon)
+        for key, value in out.items():  # non-finite floats (epsilon = inf by default)
+            out[key] = _json_float(value)
         # normalize containers so the report round-trips through JSON exactly
         return json.loads(json.dumps(out))
 

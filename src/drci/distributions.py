@@ -7,9 +7,12 @@ location-shift KS minimization over a symmetric shift grid, the
 jump-difference (quasi)metric dual to weight-box constraints, and the
 composed CDF used by the change-in-changes target.
 
-The shifted KS comparison is evaluated in one place, the band builder
-:func:`_bands`; the solvers in :mod:`drci.dro_solvers` bound the weights
-with its bands, and :func:`min_shift_ks` reads its distances off them.
+The shift grid, its tie order (:func:`_pick`) and the shifted KS bands are
+built here only, row-wise, so that one sample is a block of one row: the
+grid by :func:`_grid_shifts` and :func:`_shift_rank`, the double-grid bands
+by :func:`_grid_bands`, which :func:`_bands` calls for one sample.  The
+solvers in :mod:`drci.dro_solvers` bound the weights with these bands, and
+:func:`min_shift_ks` reads its distances off them.
 
 Conventions
 -----------
@@ -138,11 +141,39 @@ class ShiftGrid:
     def rank(self) -> np.ndarray:
         """The one tie order between shifts: each shift's place in the order
         smallest ``|c|`` first, then the smaller ``c``.  Every selection among
-        equally good shifts takes the one of lowest rank."""
-        order = np.lexsort((self.shifts, np.abs(self.shifts)))
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        return rank
+        equally good shifts takes the one of lowest rank (:func:`_pick`)."""
+        return _shift_rank(self.shifts)
+
+
+def _grid_shifts(span, m: int) -> np.ndarray:
+    """The 2m+1 shifts ``-span + j * (span / m)`` of the grid over values of
+    range ``span`` (a scalar, or one per row), along a new last axis; the
+    center is exactly 0, and a zero span gives all zeros."""
+    span = np.asarray(span, dtype=float)[..., None]
+    shifts = -span + (span / m) * np.arange(2 * m + 1)
+    shifts[..., m] = 0.0  # guard against accumulated rounding at the center
+    return shifts
+
+
+def _shift_rank(shifts: np.ndarray) -> np.ndarray:
+    """Each shift's place in the tie order of its row (:attr:`ShiftGrid.rank`),
+    along the last axis of ``shifts``."""
+    return np.argsort(np.lexsort((shifts, np.abs(shifts))), axis=-1)  # the inverse order
+
+
+def _pick(values: np.ndarray, group: np.ndarray, rank: np.ndarray, maximize: bool,
+          tol: float) -> np.ndarray:
+    """The index of the best entry of each group, in group order: entries
+    within ``tol`` of the group's largest (``maximize``) or smallest value
+    tie, and the one of lowest ``rank`` (distinct within a group) wins.
+    ``group`` labels the entries, nondecreasing."""
+    new = np.ones(group.size, dtype=bool)
+    new[1:] = group[1:] != group[:-1]
+    first, at = new.nonzero()[0], new.cumsum() - 1
+    best = (np.maximum if maximize else np.minimum).reduceat(values, first)
+    tied = np.abs(values - best[at]) <= tol
+    low = np.minimum.reduceat(np.where(tied, rank, rank.max()), first)
+    return (tied & (rank == low[at])).nonzero()[0]
 
 
 def shift_grid(values, m: int) -> ShiftGrid:
@@ -159,10 +190,8 @@ def shift_grid(values, m: int) -> ShiftGrid:
     span = hi - lo
     if span == 0.0:
         return ShiftGrid(c0=0.0, epsilon=0.0, m=m, anchor=lo, shifts=np.zeros(1))
-    eps = span / m
-    shifts = -span + eps * np.arange(2 * m + 1)
-    shifts[m] = 0.0  # guard against accumulated rounding at the center
-    return ShiftGrid(c0=-span, epsilon=eps, m=m, anchor=lo, shifts=shifts)
+    return ShiftGrid(c0=-span, epsilon=span / m, m=m, anchor=lo,
+                     shifts=_grid_shifts(span, m))
 
 
 def ecdf(values, weights=None) -> WeightedEcdf:
@@ -227,49 +256,80 @@ class _Bands:
     top: np.ndarray
     bottom: np.ndarray
 
-    @classmethod
-    def unconstrained(cls, cols: np.ndarray, n_shifts: int) -> "_Bands":
-        shape = (n_shifts, cols.size)
-        return cls(cols, np.full(shape, -np.inf), np.full(shape, np.inf))
-
     def at(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         # rounding is monotone, so max(x) - delta == max(x - delta) exactly
         return self.top - delta, self.bottom + delta
 
 
-def _column_extremes(idx: np.ndarray, values: np.ndarray):
-    """Columns hit by ``idx`` (nondecreasing) and the max and min of
-    ``values`` (along the last axis) over each column's evaluation points."""
-    cols, starts = np.unique(idx, return_index=True)
-    return (cols, np.maximum.reduceat(values, starts, axis=-1),
-            np.minimum.reduceat(values, starts, axis=-1))
-
-
 def _bands(atoms: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
            ks_mode: str) -> _Bands:
     """Breakpoint bands of the double-grid KS constraint (at most 2m+3
-    columns, shared by every shift) or of the exact one (every column), for
-    any CDF on the ascending distinct ``atoms``."""
-    k, n_shifts = atoms.size, grid.shifts.size
+    columns, shared by every shift; :func:`_grid_bands` on one row) or of
+    the exact one (every column), for any CDF on the ascending distinct
+    ``atoms``."""
+    k = atoms.size
     if ks_mode == "grid" and not grid.degenerate:
-        m, eps = grid.m, grid.epsilon
-        idx = np.searchsorted(atoms, grid.anchor + np.arange(2 * m + 1) * eps,
-                              side="right")
-        f1_line = target.cdf(grid.anchor + grid.c0 + np.arange(4 * m + 1) * eps)
-        tmat = np.lib.stride_tricks.sliding_window_view(f1_line, 2 * m + 1)
-        hit, t_max, t_min = _column_extremes(idx, tmat)
-        bands = _Bands.unconstrained(np.union1d(hit, [0, k]), n_shifts)
-        pos = np.searchsorted(bands.cols, hit)
-        bands.top[:, pos], bands.bottom[:, pos] = t_max, t_min
-        return bands
-    bands = _Bands.unconstrained(np.arange(k + 1), n_shifts)
+        ((_, bands),) = _grid_bands(
+            np.array([grid.anchor]), np.array([-grid.c0]), grid.m,
+            lambda points: np.searchsorted(atoms, points, side="right"), target.cdf)
+        return _Bands(bands.cols[0], bands.top, bands.bottom)
+    top = np.full((grid.shifts.size, k + 1), -np.inf)
+    bottom = np.full_like(top, np.inf)
     for j, c in enumerate(grid.shifts):
         pts = np.union1d(atoms, target.atoms - c)
-        hit, t_max, t_min = _column_extremes(
-            np.searchsorted(atoms, pts, side="right"), target.cdf(pts + c)
-        )
-        bands.top[j, hit], bands.bottom[j, hit] = t_max, t_min
-    return bands
+        hit, first = np.unique(np.searchsorted(atoms, pts, side="right"), return_index=True)
+        values = target.cdf(pts + c)
+        top[j, hit] = np.maximum.reduceat(values, first)
+        bottom[j, hit] = np.minimum.reduceat(values, first)
+    return _Bands(np.arange(k + 1), top, bottom)
+
+
+def _grid_bands(anchor: np.ndarray, span: np.ndarray, m: int, count,
+                cdf) -> list[tuple[np.ndarray, _Bands]]:
+    """The double-grid bands of R samples at once, grouped by width.
+
+    Row i's grid has resolution ``m``, minimum ``anchor[i]`` and range
+    ``span[i] > 0``; ``count(points)`` gives the number of its control atoms
+    up to each of its points (R, P), and ``cdf(points)`` its treated CDF
+    there.  Shift j compares point ``anchor + k * eps`` with the treated CDF
+    at ``anchor - span + (j + k) * eps``, which rises with k, so a column's
+    band runs from the CDF at its first point to that at its last.  The last
+    point rounds to at least the largest value, so it hits column K.
+    Returns ``(members, bands)`` per width: the rows ``members``, their
+    ``bands.cols`` (M, L) and their 2m+1 shifts' bands, row after row.
+    """
+    eps = (span / m)[:, None]
+    n_points = 2 * m + 1
+    # the counts at the points, after a first virtual point at column 0, so
+    # that column 0 is a run of equal counts like every other column
+    idx = np.zeros((anchor.size, n_points + 1), dtype=np.intp)
+    idx[:, 1:] = count(anchor[:, None] + np.arange(n_points) * eps)
+    line = cdf((anchor - span)[:, None] + np.arange(4 * m + 1) * eps)
+    new = np.ones(idx.shape, dtype=bool)
+    new[:, 1:] = idx[:, 1:] != idx[:, :-1]  # a column's first point
+    ends = np.ones(idx.shape, dtype=bool)
+    ends[:, :-1] = new[:, 1:]  # and its last
+    row, k_first = np.nonzero(new)
+    col = idx[row, k_first]
+    # the first and last real point of each column; last is -1 (the
+    # virtual point) where no point hits column 0
+    first, last = np.maximum(k_first - 1, 0), np.nonzero(ends)[1] - 1
+    width = np.bincount(row, minlength=anchor.size)
+    start = np.cumsum(width) - width
+
+    # windows[i, k] = line[i, k:k + 2m + 1], the CDF values at point k for every shift
+    windows = np.lib.stride_tricks.sliding_window_view(line, n_points, axis=1)
+    groups = []
+    for size in np.unique(width):
+        members = np.flatnonzero(width == size)
+        entry = start[members, None] + np.arange(size)
+        top = windows[members[:, None], last[entry]]  # (M, L, S)
+        bottom = windows[members[:, None], first[entry]]
+        free = last[entry] < 0
+        top[free], bottom[free] = -np.inf, np.inf
+        groups.append((members, _Bands(col[entry], top.transpose(0, 2, 1).reshape(-1, size),
+                                       bottom.transpose(0, 2, 1).reshape(-1, size))))
+    return groups
 
 
 def min_shift_ks(
@@ -294,7 +354,8 @@ def min_shift_ks(
     bands = _bands(f.atoms, g, grid, mode)
     cum = np.concatenate(([0.0], f.cum))[bands.cols]
     dists = np.maximum(bands.top - cum, cum - bands.bottom).max(axis=1)
-    best = np.lexsort((grid.rank, dists))[0]
+    (best,) = _pick(dists, np.zeros(dists.size, dtype=np.intp), grid.rank,
+                    maximize=False, tol=0.0)
     return float(dists[best]), float(grid.shifts[best])
 
 

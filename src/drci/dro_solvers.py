@@ -30,21 +30,22 @@ to the K atoms.  A grid-mode solve thus costs O(K log K + m L) time and
 memory, not O(m K).
 
 A solve is split into a plan and an evaluation.  The plan
-(:class:`_SolvePlan`, built only by :func:`_control_bands`) depends on
-neither ``gamma`` nor ``delta``: it holds the shift grid, the distinct
-control atoms with their counts, and the KS bands.  An evaluation caps the
-atoms at one ``gamma`` (:meth:`_SolvePlan.capped`) and runs one
-:func:`_shift_solve` at one ``delta``, which serves both directions.  Every
-distributional route here and in :mod:`drci.extensions` takes this path.  A
-single bound builds its plan and evaluates it once; a (gamma, delta) sweep
-builds one plan and evaluates it per cell.  The Monte Carlo bias table
-builds the plans of a block of replicates together, as padded rows
-(:func:`_block_plan`), caps them at every gamma at once, stacks the scans of
-the block (:func:`_distributional_lower_block`) and reads only the lower
-bound's value, with no weights.
+(:class:`_SolvePlan`, built by :func:`_control_bands`) depends on neither
+``gamma`` nor ``delta``: it holds the shift grid, the distinct control atoms
+with their counts, and the KS bands.  An evaluation caps the atoms at one
+``gamma`` (:meth:`_SolvePlan.capped`) and runs one :func:`_shift_solve` at
+one ``delta``, which serves both directions.  Every distributional route
+here and in :mod:`drci.extensions` takes this path; a (gamma, delta) sweep
+evaluates one plan per cell.  The Monte Carlo bias table builds the plans of
+a block of replicates as padded rows (:func:`_block_plan`) from the same
+row-wise grid, tie-order and band builders of :mod:`drci.distributions`,
+caps them with the same :func:`_cumulative_caps`, stacks the block's scans
+(:func:`_distributional_lower_block`) and picks by the same
+:func:`~drci.distributions._pick`, for the lower bound's value only.
 
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
-one LP per shift with band rows at the breakpoints.  The balance-free kernel
+one LP per shift with band rows at the breakpoints; the rest of the LP is
+built once per bound (:func:`_balance_lp`).  The balance-free kernel
 on the same bands screens out the shifts with no feasible weights and bounds
 each shift's LP value, so only the shifts that can still win are solved.
 """
@@ -61,8 +62,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, ecdf,
-                            shift_grid)
+from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, _grid_bands,
+                            _grid_shifts, _pick, _shift_rank, ecdf, shift_grid)
 from .lp_core import LpProblem, solve_lp
 
 __all__ = [
@@ -253,13 +254,19 @@ class _SolvePlan:
 
     def capped(self, gamma: float) -> _ControlAtoms:
         """The atoms with capacity ``gamma`` / n0 per unit."""
-        atoms = self.atoms
         # caps from gamma itself: rescaling a gamma = 1 cumsum rounds differently
-        caps = self.counts * (gamma / self.inverse.size)
-        return _ControlAtoms(atoms=atoms, counts=self.counts, inverse=self.inverse,
-                             cum_caps=np.concatenate(([0.0], np.cumsum(caps))),
-                             cum_moments=np.concatenate(
-                                 ([0.0], np.cumsum(caps * (atoms - atoms[0])))))
+        return _ControlAtoms(self.atoms, self.counts, self.inverse, *_cumulative_caps(
+            self.atoms, self.counts * (gamma / self.inverse.size)))
+
+
+def _cumulative_caps(atoms: np.ndarray, caps: np.ndarray):
+    """``cum_caps`` and ``cum_moments`` of :class:`_ControlAtoms` for the
+    ``atoms`` with capacities ``caps``, along the last axis."""
+    cum_caps = np.zeros(caps.shape[:-1] + (caps.shape[-1] + 1,))
+    cum_moments = np.zeros_like(cum_caps)
+    np.cumsum(caps, axis=-1, out=cum_caps[..., 1:])
+    np.cumsum(caps * (atoms - atoms[..., :1]), axis=-1, out=cum_moments[..., 1:])
+    return cum_caps, cum_moments
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +438,15 @@ def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
 
 def _select_shift(values: np.ndarray, ok: np.ndarray, rank: np.ndarray,
                   maximize: bool, tol: float = _TIE_TOL) -> int | None:
-    """Index of the best feasible entry; values within ``tol`` of the best
-    tie, and ties go to the lowest ``rank`` (:attr:`ShiftGrid.rank` for a
-    shift, ``rank[j1] * S + rank[j2]`` for a pair of shifts)."""
-    if not ok.any():
+    """Index of the best ``ok`` entry by :func:`~drci.distributions._pick`,
+    ``rank`` being :attr:`ShiftGrid.rank` for a shift and ``rank[j1] * S +
+    rank[j2]`` for a pair of shifts."""
+    cand = np.flatnonzero(ok)
+    if not cand.size:
         return None
-    masked = np.where(ok, values, -np.inf if maximize else np.inf)
-    best = masked.max() if maximize else masked.min()
-    cand = np.flatnonzero(ok & (np.abs(values - best) <= tol))
-    return int(cand[np.argmin(rank[cand])])
+    (pick,) = _pick(values[cand], np.zeros(cand.size, dtype=np.intp), rank[cand],
+                    maximize, tol)
+    return int(cand[pick])
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +709,7 @@ class _BlockPlan:
         caps = (self.counts * (gammas[:, None] / self.n0)[..., None]).reshape(
             -1, self.counts.shape[1])
         atoms = np.tile(self.atoms, (gammas.size, 1))
-        cum_caps = np.zeros((caps.shape[0], caps.shape[1] + 1))
-        cum_moments = np.zeros_like(cum_caps)
-        np.cumsum(caps, axis=1, out=cum_caps[:, 1:])
-        np.cumsum(caps * (atoms - atoms[:, :1]), axis=1, out=cum_moments[:, 1:])
+        cum_caps, cum_moments = _cumulative_caps(atoms, caps)
         return _BlockCaps(atoms, cum_caps, cum_moments, _SortedRows.of(cum_caps))
 
 
@@ -737,16 +741,14 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
     ``draws`` (both arms nonempty), value for value, built for the block at
     once: row-wise sorts give the distinct atoms of both arms, the treated
     ECDF masses are summed in :func:`~drci.distributions.ecdf`'s order, and
-    each row's shift grid comes from its extremes as in
+    each row's shift grid and tie order come from the row-wise helpers of
     :func:`~drci.distributions.shift_grid`.
 
-    In grid mode the breakpoint columns and treated-CDF values of all
-    non-degenerate grids come from one :meth:`_SortedRows.searchsorted` per
-    arm.  The treated CDF along the double grid is nondecreasing, so the
-    extremes over the evaluation points of a column, which
-    :func:`~drci.distributions._bands` takes with ``reduceat``, are the CDF
-    at its last and first point.  Exact-KS and degenerate rows run
-    :func:`~drci.distributions._bands` row by row.
+    In grid mode the bands of all non-degenerate rows come from one
+    :func:`~drci.distributions._grid_bands` call, which counts the atoms and
+    reads the treated CDF with one :meth:`_SortedRows.searchsorted` per arm.
+    Exact-KS and degenerate rows run :func:`~drci.distributions._bands` row
+    by row.
     """
     ys = [np.asarray(y, dtype=float) for y, _ in draws]
     arms = [np.asarray(t) == 1 for _, t in draws]
@@ -757,14 +759,8 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(y, starts)
     span = np.maximum.reduceat(y, starts) - lo
-    eps = span / m
-    steps = np.arange(2 * m + 1)
-    shifts = -span[:, None] + eps[:, None] * steps
-    shifts[:, m] = 0.0  # as shift_grid; an all-zero row where span == 0
-    rank = np.empty_like(steps, shape=shifts.shape)
-    np.put_along_axis(rank, np.lexsort((shifts, np.abs(shifts))),
-                      np.broadcast_to(steps, shifts.shape), axis=1)
-    n_shifts = np.where(span == 0, 1, steps.size)
+    shifts = _grid_shifts(span, m)  # an all-zero row where span == 0
+    n_shifts = np.where(span == 0, 1, shifts.shape[1])
 
     atoms, counts, inverse, k0 = _row_atoms(y[~treated], unit_row[~treated], n_rows)
     t_atoms, t_counts, _, k1 = _row_atoms(y[treated], unit_row[treated], n_rows)
@@ -779,93 +775,41 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
     t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
     t_cdf[np.arange(n_rows), k1] = 1.0
 
-    parts: dict[int, list[_BandGroup]] = {}
+    parts: dict[int, list] = {}  # width -> [(samples, bands)]
     on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
-    grid_rows = np.flatnonzero(on_grid)
-    if grid_rows.size:
-        g, at = grid_rows[:, None], np.arange(grid_rows.size)[:, None]
+    rows = np.flatnonzero(on_grid)
+    if rows.size:
+        g, at = rows[:, None], np.arange(rows.size)[:, None]
+        c_keys, t_keys = _SortedRows.of(atoms[rows]), _SortedRows.of(t_atoms[rows])
         # searches past a row's last atom also count its padding
-        idx = np.minimum(_SortedRows.of(atoms[grid_rows]).searchsorted(
-            lo[g] + steps * eps[g], at, side="right"), k0[g])
-        line = (lo[g] + -span[g]) + np.arange(4 * m + 1) * eps[g]  # anchor + c0 + ...
-        t_idx = np.minimum(_SortedRows.of(t_atoms[grid_rows]).searchsorted(
-            line, at, side="right"), k1[g])
-        for group in _grid_band_groups(grid_rows, idx, t_cdf[g, t_idx], k0[grid_rows]):
-            parts.setdefault(group.bands.cols.shape[1], []).append(group)
+        for members, bands in _grid_bands(
+                lo[rows], span[rows], m,
+                lambda x: np.minimum(c_keys.searchsorted(x, at, side="right"), k0[g]),
+                lambda x: t_cdf[g, np.minimum(t_keys.searchsorted(x, at, side="right"),
+                                              k1[g])]):
+            parts.setdefault(bands.cols.shape[1], []).append((rows[members], bands))
     for i in np.flatnonzero(~on_grid):
-        grid = ShiftGrid(c0=-span[i], epsilon=eps[i], m=m, anchor=lo[i],
+        grid = ShiftGrid(c0=-span[i], epsilon=span[i] / m, m=m, anchor=lo[i],
                          shifts=shifts[i, :n_shifts[i]])
         target = WeightedEcdf(t_atoms[i, :k1[i]], masses[i, :k1[i]])
         bands = _bands(atoms[i, :k0[i]], target, grid, ks_mode)
-        parts.setdefault(k0[i] + 1, []).append(_BandGroup(
-            np.array([i]), np.zeros(n_shifts[i], dtype=np.intp),
-            np.arange(n_shifts[i]), replace(bands, cols=bands.cols[None])))
+        parts.setdefault(k0[i] + 1, []).append(
+            (np.array([i]), replace(bands, cols=bands.cols[None])))
 
+    groups = []
+    for same in parts.values():
+        samples = np.concatenate([s for s, _ in same])
+        size = n_shifts[samples]
+        groups.append(_BandGroup(
+            samples, np.repeat(np.arange(samples.size), size),
+            np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size),
+            same[0][1] if len(same) == 1 else
+            _Bands(*(np.concatenate([getattr(b, name) for _, b in same])
+                     for name in ("cols", "top", "bottom")))))
     return _BlockPlan(
         atoms=atoms, counts=counts, inverse=inverse, n0=sizes - n1,
         treated_mean=np.array([v[t].mean() for v, t in zip(ys, arms)]),
-        shifts=shifts, rank=rank, n_shifts=n_shifts,
-        groups=tuple(_merge_groups(same) for same in parts.values()))
-
-
-def _grid_band_groups(rows: np.ndarray, idx: np.ndarray, line: np.ndarray,
-                      n_atoms: np.ndarray) -> list[_BandGroup]:
-    """The grid-mode bands of the samples ``rows``, grouped by width, from
-    ``idx`` (G, 2m+1), the number of control atoms up to each evaluation
-    point, and ``line`` (G, 4m+1), the treated CDF along the double grid.
-
-    Shift j compares the points with ``line[j:j + 2m + 1]``.  The columns
-    are the distinct ``idx`` with the pinned 0 and K, and a hit column's
-    band takes the line at its last (``top``) and first (``bottom``) point.
-    """
-    n_points = idx.shape[1]
-    new = np.ones(idx.shape, dtype=bool)
-    new[:, 1:] = idx[:, 1:] != idx[:, :-1]
-    ends = np.ones(idx.shape, dtype=bool)
-    ends[:, :-1] = new[:, 1:]
-    hit_row, k_first = np.nonzero(new)
-    k_last = np.nonzero(ends)[1]
-    lead = idx[:, 0] != 0  # column 0 when no point hits it
-    tail = idx[:, -1] != n_atoms  # column K likewise
-    hits = np.bincount(hit_row, minlength=rows.size)
-    width = hits + lead + tail
-    start = np.cumsum(width) - width
-    pos = (start + lead - (np.cumsum(hits) - hits))[hit_row] + np.arange(hit_row.size)
-    col = np.zeros(width.sum(), dtype=np.intp)
-    first = np.full(col.size, -1)
-    last = np.full(col.size, -1)
-    col[pos], first[pos], last[pos] = idx[hit_row, k_first], k_first, k_last
-    col[(start + width - 1)[tail]] = n_atoms[tail]
-
-    # windows[i, k] = line[i, k:k + 2m + 1], the CDF values at point k for every shift
-    windows = np.lib.stride_tricks.sliding_window_view(line, n_points, axis=1)
-    groups = []
-    for size in np.unique(width):
-        members = np.flatnonzero(width == size)
-        entry = start[members, None] + np.arange(size)
-        free = last[entry] < 0  # an unhit pinned column
-        top = windows[members[:, None], last[entry]]  # (M, L, S)
-        bottom = windows[members[:, None], first[entry]]
-        top[free], bottom[free] = -np.inf, np.inf
-        groups.append(_BandGroup(
-            rows[members], np.repeat(np.arange(members.size), n_points),
-            np.tile(np.arange(n_points), members.size),
-            _Bands(col[entry], top.transpose(0, 2, 1).reshape(-1, size),
-                   bottom.transpose(0, 2, 1).reshape(-1, size))))
-    return groups
-
-
-def _merge_groups(groups: list[_BandGroup]) -> _BandGroup:
-    """One group of the samples of ``groups``, which share a width."""
-    if len(groups) == 1:
-        return groups[0]
-    offsets = np.cumsum([0] + [g.samples.size for g in groups[:-1]])
-    return _BandGroup(
-        np.concatenate([g.samples for g in groups]),
-        np.concatenate([g.member + o for g, o in zip(groups, offsets)]),
-        np.concatenate([g.shift for g in groups]),
-        _Bands(*(np.concatenate([getattr(g.bands, name) for g in groups])
-                 for name in ("cols", "top", "bottom"))))
+        shifts=shifts, rank=_shift_rank(shifts), n_shifts=n_shifts, groups=tuple(groups))
 
 
 def _distributional_lower_block(draws, gammas, delta: float, m: int,
@@ -875,14 +819,12 @@ def _distributional_lower_block(draws, gammas, delta: float, m: int,
     ``gammas`` (columns), bit for bit (NaN where infeasible), with no
     weights, SE or :class:`BoundResult`.
 
-    One :func:`_block_plan` serves the block, capped once per gamma for all
-    samples.  Per band width, :func:`_screen` drops the shifts infeasible at
-    every gamma, and the rest are stacked into one
+    One :func:`_block_plan` serves the block, capped at every gamma at once.
+    Per band width, :func:`_screen` drops the shifts infeasible at every
+    gamma, and the rest are stacked into one row-wise
     :func:`_breakpoint_extremes` call per gamma, each row with its own
-    sample's capacities; the scans work row by row, so each row gets the
-    values of its own sample's scan.  The feasible rows' top-filled bucket
-    means come from :func:`_bucket_means` with a row-wise search, and each
-    sample's shift is picked by :func:`_select_shift`'s rule.
+    sample's capacities, then one :func:`_bucket_means` call and one
+    :func:`~drci.distributions._pick` for all of them.
     """
     gammas = np.array([float(g) for g in gammas])
     plan = _block_plan(draws, m, ks_mode)
@@ -917,15 +859,8 @@ def _lower_block_scan(plan: _BlockPlan, group: _BandGroup, rows: np.ndarray,
     if not r.size:
         return
     values = _bucket_means(caps, cols[r], c_least, from_top=True, rows=at)
-    # _select_shift per sample and gamma: the best value, values within
-    # _TIE_TOL of it tie, and ties go to the lowest rank
-    who = j * group.samples.size + member[r]
-    first = np.flatnonzero(np.diff(who, prepend=-1))
-    best = np.maximum.reduceat(values, first)
-    cand = np.flatnonzero(
-        np.abs(values - np.repeat(best, np.diff(first, append=r.size))) <= _TIE_TOL)
-    order = cand[np.lexsort((ranks[r[cand]], who[cand]))]
-    pick = order[np.diff(who[order], prepend=-1) != 0]
+    # _select_shift's pick, one group per sample and gamma
+    pick = _pick(values, j * group.samples.size + member[r], ranks[r], True, _TIE_TOL)
     won = sample[r[pick]]
     out[won, j[pick]] = plan.treated_mean[won] - values[pick]
 
@@ -952,13 +887,15 @@ def _distributional_lp_route(
     :attr:`ShiftGrid.rank`), so the result is the one a solve of every
     shift gives.  Values within ``_TIE_TOL`` times ``1 + max|y0|`` tie: the
     LP values carry roundoff of the outcome scale, and which of two tied
-    shifts a pivot path favours must not decide the pick.
+    shifts a pivot path favours must not decide the pick.  Each LP starts
+    from its shift's row of one kernel scan of the unwidened bands.
     """
     y0 = data.control_y
     plan = _distributional_plan(data, config.m, config.ks_mode)
     ctrl, bands = plan.capped(config.gamma), plan.bands
 
-    bal = balance_terms(data, config.balance_lambda)
+    lp = _balance_lp(data, config, balance_terms(data, config.balance_lambda),
+                     bands.cols, ctrl, mean_window)
     maximize = config.direction == "lower"
     lo, hi = bands.at(config.delta)
     screen = _shift_solve(ctrl, bands, lo - _LP_ROW_TOL, hi + _LP_ROW_TOL)
@@ -978,15 +915,15 @@ def _distributional_lp_route(
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((rank[cand], bound[cand]))]
 
+    _, c_least, c_great = _breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols])
+    start = c_least if maximize else c_great
     values = np.full(rank.size, np.nan)  # penalized LP value per solved shift
     solved = {}  # shift index -> control weights
     best = math.inf  # best oriented value so far
     for j in cand:
         if bound[j] > best + slack:
             break
-        sol = _solve_balance_lp(
-            data, config, bal, bands.cols, lo[j], hi[j], ctrl, mean_window
-        )
+        sol = _solve_balance_lp(lp, lo[j], hi[j], start[j])
         if sol is None:
             continue
         values[j], solved[j] = sol
@@ -1002,76 +939,77 @@ def _distributional_lp_route(
     )
 
 
-def _solve_balance_lp(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
-    """One per-shift LP over [control weights, balance slacks].
+@dataclass(frozen=True)
+class _BalanceLp:
+    """What no shift changes in the balance route's LPs over [control weights,
+    balance slacks]: ``band_rows``, per breakpoint after the first the indicator
+    row of the units below it and its negation, and ``shared``, the LP without
+    band rows (two rows per covariate, then the cap and mean-window rows)."""
 
-    The simplex starts from the balance-free kernel's extreme allocation at
-    this shift (the least element filled from the top for the lower bound,
-    the greatest filled from the bottom for the upper), balance slacks at 0.
-    """
+    ctrl: _ControlAtoms
+    cols: np.ndarray
+    band_rows: np.ndarray
+    shared: LpProblem
+
+
+def _balance_lp(data, config, bal, cols, ctrl, mean_window) -> _BalanceLp:
+    """The shift-free parts of the balance route's LPs."""
     y0 = data.control_y
-    n0 = y0.size
-    n_aux = bal.n_covariates
+    n0, n_aux = y0.size, bal.n_covariates
     maximize = config.direction == "lower"
 
     c = np.concatenate([y0, np.zeros(n_aux)])
     if bal.lam > 0 and config.balance_epsilon is None:
         # penalty always degrades the optimum
         c[n0:] = -bal.lam if maximize else bal.lam
+    below = (ctrl.inverse < cols[1:, None]).astype(float)
+    band_rows = np.zeros((below.shape[0], 2, c.size))
+    band_rows[:, 0, :n0], band_rows[:, 1, :n0] = below, -below
 
-    # cumulative KS bands at the breakpoint columns (indicator rows over
-    # units): per breakpoint the upper row where hi < 1, then the negated
-    # lower row where lo > 0
-    below = (ctrl.inverse[None, :] < cols[1:, None]).astype(float)
-    signed = np.stack([below, -below], axis=1)
-    active = np.stack([hi_row[1:] < 1, lo_row[1:] > 0], axis=1)
-    band_a = signed[active]
-    rows_a = [np.hstack([band_a, np.zeros((band_a.shape[0], n_aux))])]
-    rows_b = np.stack([hi_row[1:], -lo_row[1:]], axis=1)[active].tolist()
-    s_caps = np.zeros(n_aux)
-    for j in range(n_aux):
-        xj = bal.control_x[:, j]
-        s = np.zeros(n_aux)
-        s[j] = -1.0
-        rows_a.append(np.concatenate([xj, s]))
-        rows_b.append(bal.treated_means[j])
-        rows_a.append(np.concatenate([-xj, s]))
-        rows_b.append(-bal.treated_means[j])
-        # slack never needs to exceed the worst attainable imbalance;
-        # a finite cap keeps the LP well scaled
-        s_caps[j] = max(
-            abs(bal.treated_means[j] - xj.min()),
-            abs(bal.treated_means[j] - xj.max()),
-        ) + 1.0
-    if config.balance_epsilon is not None and math.isfinite(config.balance_epsilon):
-        rows_a.append(np.concatenate([np.zeros(n0), np.ones(n_aux)]))
-        rows_b.append(config.balance_epsilon)
-    if mean_window is not None:
-        wlo, whi = mean_window
-        if math.isfinite(whi):
-            rows_a.append(np.concatenate([y0, np.zeros(n_aux)]))
-            rows_b.append(whi)
-        if math.isfinite(wlo):
-            rows_a.append(np.concatenate([-y0, np.zeros(n_aux)]))
-            rows_b.append(-wlo)
-
-    _, c_least, c_great = _breakpoint_extremes(lo_row[None, :], hi_row[None, :],
-                                               ctrl.cum_caps[cols])
-    cum = _bucket_cumulative(cols, c_least[0] if maximize else c_great[0],
-                             ctrl.cum_caps, from_top=maximize)
-    cap = config.gamma / n0
-    problem = LpProblem(
+    # per covariate j: x_j @ w - s_j <= mean_j, then -x_j @ w - s_j <= -mean_j
+    x, means = bal.control_x.T, bal.treated_means
+    cov = np.zeros((n_aux, 2, c.size))
+    cov[:, 0, :n0], cov[:, 1, :n0] = x, -x
+    cov[np.arange(n_aux), :, n0 + np.arange(n_aux)] = -1.0
+    # (weights part, slacks part, bound) of the cap and window rows, if finite
+    cap = math.inf if config.balance_epsilon is None else config.balance_epsilon
+    wlo, whi = (-math.inf, math.inf) if mean_window is None else mean_window
+    rows = [row for row in ((np.zeros(n0), 1.0, cap), (y0, 0.0, whi), (-y0, 0.0, -wlo))
+            if math.isfinite(row[2])]
+    # slack never needs to exceed the worst attainable imbalance; a finite
+    # cap keeps the LP well scaled
+    s_caps = np.maximum(np.abs(means - x.min(axis=1)), np.abs(means - x.max(axis=1))) + 1.0
+    shared = LpProblem(
         c=c,
         sense="max" if maximize else "min",
-        a_ub=np.vstack(rows_a),
-        b_ub=np.asarray(rows_b),
+        a_ub=np.concatenate([cov.reshape(2 * n_aux, c.size)] + [
+            np.concatenate([w, np.full(n_aux, s)])[None] for w, s, _ in rows]),
+        b_ub=np.concatenate([np.stack([means, -means], axis=1).ravel(),
+                             [b for *_, b in rows]]),
         a_eq=np.concatenate([np.ones(n0), np.zeros(n_aux)])[None, :],
         b_eq=[1.0],
-        lower=np.zeros(n0 + n_aux),
-        upper=np.concatenate([np.full(n0, min(cap, 1.0)), s_caps]),
-        x0=np.concatenate([ctrl.unit_weights(_masses(cum)), np.zeros(n_aux)]),
+        lower=np.zeros(c.size),
+        upper=np.concatenate([np.full(n0, min(config.gamma / n0, 1.0)), s_caps]),
     )
-    sol = solve_lp(problem)
+    return _BalanceLp(ctrl, cols, band_rows, shared)
+
+
+def _solve_balance_lp(lp: _BalanceLp, lo_row: np.ndarray, hi_row: np.ndarray,
+                      start: np.ndarray):
+    """The LP of the shift with band ``lo_row``/``hi_row`` (L,), started at
+    the kernel's extreme allocation with cumulatives ``start`` at the
+    breakpoints after the first (the least element filled from the top for
+    the lower bound, the greatest from the bottom for the upper), slacks 0."""
+    n0, shared = lp.ctrl.inverse.size, lp.shared
+    active = np.stack([hi_row[1:] < 1, lo_row[1:] > 0], axis=1)
+    cum = _bucket_cumulative(lp.cols, start, lp.ctrl.cum_caps, shared.sense == "max")
+    x0 = np.zeros(shared.n_vars)
+    x0[:n0] = lp.ctrl.unit_weights(_masses(cum))
+    sol = solve_lp(replace(
+        shared, a_ub=np.concatenate([lp.band_rows[active], shared.a_ub]),
+        b_ub=np.concatenate([np.stack([hi_row[1:], -lo_row[1:]], axis=1)[active],
+                             shared.b_ub]),
+        x0=x0))
     if sol.status != "optimal":
         return None
     return float(sol.objective_value), sol.x[:n0]

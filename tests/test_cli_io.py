@@ -27,6 +27,10 @@ FIXTURE = """y,t
 """
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which strict JSON does not allow")
+
+
 @pytest.fixture
 def fixture_csv(tmp_path):
     path = tmp_path / "data.csv"
@@ -606,6 +610,34 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["gamma"] == 2.0  # flag wins over file
         assert report["estimate"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_infinite_balance_epsilon_reports_strict_json(self, tmp_path, capsys,
+                                                          direction):
+        # an infinite cap is accepted and solved; the report must still be
+        # strict JSON, with the knob echoed as null
+        rng = np.random.default_rng(15)
+        path = tmp_path / "cov.csv"
+        path.write_text("y,t,x1\n" + "".join(
+            f"{rng.normal(t, 1):.4f},{t},{rng.random():.3f}\n" for t in (0, 1) * 10))
+        code = main(["att", "--input", str(path), "--model", "distributional",
+                     "--gamma", "2", "--delta", "0.3", "--m", "10",
+                     "--balance-epsilon", "inf", "--direction", direction])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["config"]["balance_epsilon"] is None
+        free = distributional_att_bound(load_csv(str(path)), SensitivityConfig(
+            gamma=2.0, delta=0.3, m=10, direction=direction))
+        assert report["estimate"] == pytest.approx(free.estimate, abs=1e-8)
+
+    def test_infinite_config_file_value_reports_strict_json(self, fixture_csv, tmp_path,
+                                                            capsys):
+        conf = tmp_path / "cfg.json"
+        conf.write_text('{"model": "marginal", "p": Infinity}')
+        code = main(["att", "--config", str(conf), "--input", fixture_csv])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["config"]["p"] is None
 
     def test_output_file_written_atomically(self, fixture_csv, tmp_path):
         out = tmp_path / "report.json"

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_shift_ks
+from oracles import brute_shift_ks, raw_shift_rows
 
 from drci.distributions import (
     Dataset,
     WeightedEcdf,
+    _bands,
+    _pick,
     cic_target_cdf,
     d0,
     ecdf,
@@ -261,6 +263,104 @@ class TestCicTargetCdf:
         f_b1 = ecdf([10.0, 11.0])
         with pytest.raises(ValueError):
             cic_target_cdf(f_b1, f_b0, ecdf([7.0]))
+
+
+def _oracle_grid_bands(y0, y1, m):
+    """Grid-mode bands from the oracle's unconsolidated KS rows at delta 0:
+    a point's column is the number of distinct controls at or below it, and
+    each shift's band at a column spans the treated CDF values its points
+    are compared with."""
+    pooled = np.concatenate([y0, y1])
+    anchor, span = pooled.min(), pooled.max() - pooled.min()
+    ts = np.sort(y1)
+    tc = np.arange(ts.size + 1) / ts.size
+    n_points = 2 * m + 1
+    rows = [raw_shift_rows(y0, ts, tc, anchor, -span, span / m, m, j, 0.0, "grid", None)
+            for j in range(n_points)]
+    # the points, hence their columns, are the same for every shift
+    point_cols = [np.unique(y0[row == 1]).size for row in rows[0][0][:n_points]]
+    cols = sorted(set(point_cols) | {0, np.unique(y0).size})
+    top = np.full((n_points, len(cols)), -np.inf)
+    bottom = np.full_like(top, np.inf)
+    for j, (_, b) in enumerate(rows):
+        for col, value in zip(point_cols, b[:n_points]):
+            q = cols.index(col)
+            top[j, q], bottom[j, q] = max(top[j, q], value), min(bottom[j, q], value)
+    return np.array(cols), top, bottom
+
+
+def _band_samples():
+    """(name, controls, treated): tied and earnings-like outcomes, with the
+    pooled minimum among the controls (no point below the first atom, so
+    column 0 is unhit) or among the treated only."""
+    rng = np.random.default_rng(70)
+    tied = (rng.integers(0, 6, 30) * 0.5, rng.integers(1, 8, 20) * 0.5)
+    zero = rng.random(160) < 0.3
+    raw = np.round(np.exp(rng.normal(9.6, 0.75, 160)) / 100.0) * 100.0
+    earnings = np.where(zero, 0.0, raw)
+    return [("tied_control_min", *tied), ("tied_treated_min", tied[0], tied[1] - 1.0),
+            ("earnings_control_min", earnings[:100], earnings[100:] + 100.0),
+            ("earnings_treated_min", earnings[:100] + 100.0, earnings[100:])]
+
+
+class TestGridBands:
+    @pytest.mark.parametrize("m", [1, 3, 50, 200])
+    @pytest.mark.parametrize("name,y0,y1", _band_samples(),
+                             ids=[name for name, *_ in _band_samples()])
+    def test_bands_match_the_raw_rows(self, name, y0, y1, m):
+        cols, top, bottom = _oracle_grid_bands(y0, y1, m)
+        got = _bands(np.unique(y0), ecdf(y1), shift_grid(np.concatenate([y0, y1]), m),
+                     "grid")
+        np.testing.assert_array_equal(got.cols, cols)
+        np.testing.assert_allclose(got.top, top, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.bottom, bottom, rtol=0, atol=1e-12)
+        # the last point lies past every outcome, so column K is always hit;
+        # column 0 is hit only when a treated outcome is the smallest
+        assert np.isfinite(top[:, -1]).all()
+        assert np.isneginf(top[:, 0]).all() == name.endswith("control_min")
+
+
+def _loop_pick(values, group, rank, maximize, tol):
+    picks = []
+    for label in sorted(set(group.tolist())):
+        members = [i for i in range(values.size) if group[i] == label]
+        best = (max if maximize else min)(values[i] for i in members)
+        tied = [i for i in members if abs(values[i] - best) <= tol]
+        picks.append(min(tied, key=lambda i: rank[i]))
+    return picks
+
+
+class TestPick:
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("scale,tol", [(1.0, 0.0), (1.0, 1e-12), (1e4, 1e-12 * 1e4)],
+                             ids=["exact", "absolute", "scaled"])
+    def test_matches_a_loop(self, maximize, scale, tol):
+        rng = np.random.default_rng(71)
+        sizes = rng.integers(1, 12, 300)  # many groups of uneven size
+        group = np.repeat(np.cumsum(rng.integers(1, 4, sizes.size)), sizes)
+        best = np.repeat(rng.normal(0.0, scale, sizes.size), sizes)
+        # exact ties, ties well inside and just inside tol, just outside, far
+        gaps = np.array([0.0, 0.5, 0.999, 1.001, 2.0]) * tol
+        gaps = np.concatenate([gaps, [np.spacing(scale), 0.1 * scale]])
+        gap = rng.choice(gaps, group.size)
+        gap[np.cumsum(sizes) - sizes] = 0.0  # each group attains its best
+        values = best - gap if maximize else best + gap
+        rank = np.concatenate([rng.permutation(k) for k in sizes])
+        want = _loop_pick(values, group, rank, maximize, tol)
+        got = _pick(values, group, rank, maximize, tol)
+        assert got.tolist() == want
+        # some picks are ties decided by rank, and some lower ranks lose by
+        # lying just outside tol
+        assert (values[got] != best[got]).any() == (tol > 0)
+        outside = np.abs(values - best) > tol
+        assert any((outside & (group == group[i]) & (rank < rank[i])).any() for i in got)
+
+    def test_one_group(self):
+        values = np.array([3.0, 5.0, 5.0 - 1e-13, 4.0])
+        rank = np.array([0, 2, 1, 3])
+        assert _pick(values, np.zeros(4, dtype=np.intp), rank, True, 1e-12).tolist() == [2]
+        assert _pick(values, np.zeros(4, dtype=np.intp), rank, True, 0.0).tolist() == [1]
+        assert _pick(values, np.zeros(4, dtype=np.intp), rank, False, 1e-12).tolist() == [0]
 
 
 class TestShiftGrid:

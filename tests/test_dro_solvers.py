@@ -641,12 +641,14 @@ def _every_shift_route(data, cfg, window):
     plan = ds._control_bands(data.control_y, ecdf(data.treated_y), grid, cfg.ks_mode)
     ctrl, bands = plan.capped(cfg.gamma), plan.bands
     lo, hi = bands.at(cfg.delta)
-    bal = balance_terms(data, cfg.balance_lambda)
+    lp = ds._balance_lp(data, cfg, balance_terms(data, cfg.balance_lambda), bands.cols,
+                        ctrl, window)
+    start = _start_cumulatives(ctrl, bands.cols, lo, hi, cfg.direction)
     best, solved = None, {}
     for j, c in enumerate(grid.shifts):
         if lo[j, 0] > 1e-9 or hi[j, -1] < 1 - 1e-9 or lo[j, -1] > 1 + 1e-9:
             continue
-        sol = ds._solve_balance_lp(data, cfg, bal, bands.cols, lo[j], hi[j], ctrl, window)
+        sol = ds._solve_balance_lp(lp, lo[j], hi[j], start[j])
         solved[j] = sol is not None
         if sol is None:
             continue
@@ -655,6 +657,12 @@ def _every_shift_route(data, cfg, window):
         if best is None or key < best[0]:
             best = (key, w, float(c))
     return (None if best is None else best[1:]), solved
+
+
+def _start_cumulatives(ctrl, cols, lo, hi, direction):
+    """Each shift's start for its LP: one row of the kernel scan."""
+    _, c_least, c_great = ds._breakpoint_extremes(lo, hi, ctrl.cum_caps[cols])
+    return c_least if direction == "lower" else c_great
 
 
 def _widened_screen(data, cfg, window):
@@ -675,6 +683,60 @@ def _widened_screen(data, cfg, window):
         bottom = ds._bucket_means(ctrl, bands.cols, c_great, from_top=False)
         wide &= (top >= window[0] - reach) & (bottom <= window[1] + reach)
     return wide, lo, hi
+
+
+def _per_lp_problem(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+    """One shift's balance LP built whole, a row at a time: the band rows,
+    two rows per covariate, the balance_epsilon row and the mean-window
+    rows; the start from a one-row kernel scan of this shift."""
+    y0 = data.control_y
+    n0, n_aux = y0.size, bal.n_covariates
+    maximize = config.direction == "lower"
+    c = np.concatenate([y0, np.zeros(n_aux)])
+    if bal.lam > 0 and config.balance_epsilon is None:
+        c[n0:] = -bal.lam if maximize else bal.lam
+    rows_a, rows_b = [], []
+    for q, lo_q, hi_q in zip(cols[1:], lo_row[1:], hi_row[1:]):
+        below = (ctrl.inverse < q).astype(float)
+        if hi_q < 1:
+            rows_a.append(np.concatenate([below, np.zeros(n_aux)]))
+            rows_b.append(hi_q)
+        if lo_q > 0:
+            rows_a.append(np.concatenate([-below, np.zeros(n_aux)]))
+            rows_b.append(-lo_q)
+    s_caps = np.zeros(n_aux)
+    for j in range(n_aux):
+        xj = bal.control_x[:, j]
+        s = np.zeros(n_aux)
+        s[j] = -1.0
+        rows_a.append(np.concatenate([xj, s]))
+        rows_b.append(bal.treated_means[j])
+        rows_a.append(np.concatenate([-xj, s]))
+        rows_b.append(-bal.treated_means[j])
+        s_caps[j] = max(abs(bal.treated_means[j] - xj.min()),
+                        abs(bal.treated_means[j] - xj.max())) + 1.0
+    if config.balance_epsilon is not None and math.isfinite(config.balance_epsilon):
+        rows_a.append(np.concatenate([np.zeros(n0), np.ones(n_aux)]))
+        rows_b.append(config.balance_epsilon)
+    if mean_window is not None:
+        wlo, whi = mean_window
+        if math.isfinite(whi):
+            rows_a.append(np.concatenate([y0, np.zeros(n_aux)]))
+            rows_b.append(whi)
+        if math.isfinite(wlo):
+            rows_a.append(np.concatenate([-y0, np.zeros(n_aux)]))
+            rows_b.append(-wlo)
+    _, c_least, c_great = ds._breakpoint_extremes(lo_row[None, :], hi_row[None, :],
+                                                  ctrl.cum_caps[cols])
+    cum = ds._bucket_cumulative(cols, c_least[0] if maximize else c_great[0],
+                                ctrl.cum_caps, from_top=maximize)
+    return LpProblem(
+        c=c, sense="max" if maximize else "min", a_ub=np.vstack(rows_a),
+        b_ub=np.asarray(rows_b), a_eq=np.concatenate([np.ones(n0), np.zeros(n_aux)])[None, :],
+        b_eq=[1.0], lower=np.zeros(n0 + n_aux),
+        upper=np.concatenate([np.full(n0, min(config.gamma / n0, 1.0)), s_caps]),
+        x0=np.concatenate([ctrl.unit_weights(ds._masses(cum)), np.zeros(n_aux)]),
+    )
 
 
 class TestBalanceRouteWork:
@@ -709,9 +771,11 @@ class TestBalanceRouteWork:
         ctrl, cols = plan.capped(cfg.gamma), plan.bands.cols
         lo, hi = plan.bands.at(cfg.delta)
         bal = balance_terms(data, cfg.balance_lambda)
+        lp = ds._balance_lp(data, cfg, bal, cols, ctrl, None)
+        start = _start_cumulatives(ctrl, cols, lo, hi, cfg.direction)
         trimmed = 0
         for j in range(lo.shape[0]):
-            ds._solve_balance_lp(data, cfg, bal, cols, lo[j], hi[j], ctrl, None)
+            ds._solve_balance_lp(lp, lo[j], hi[j], start[j])
             rows_a, rows_b = [], []
             for q, lo_q, hi_q in zip(cols[1:], lo[j, 1:], hi[j, 1:]):
                 row = (ctrl.inverse < q).astype(float)
@@ -729,6 +793,38 @@ class TestBalanceRouteWork:
             assert problem.b_ub[:k].tolist() == rows_b
             assert problem.a_ub.shape[0] == k + 2 * bal.n_covariates
         assert trimmed  # some shift skips a trivial band side
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("form,did,ks_mode", [
+        ({"balance_lambda": 0.5}, False, "grid"),
+        ({"balance_epsilon": 0.2}, False, "grid"),
+        ({"balance_epsilon": math.inf}, False, "grid"),
+        ({"balance_epsilon": 0.2}, True, "grid"),
+        ({"balance_lambda": 0.5}, True, "exact_atoms"),
+    ])
+    def test_lps_match_the_per_lp_builder(self, lp_calls, form, did, ks_mode, direction):
+        # the shift-free parts built once per route and the start from one
+        # scan of all shifts give every LP exactly as a whole build per LP
+        data = _balance_sample(31)
+        cfg = SensitivityConfig(gamma=2.0, delta=0.1, m=20, direction=direction,
+                                epsilon=0.05 if did else math.inf, ks_mode=ks_mode, **form)
+        window = None
+        if did:
+            target = DidTargets.from_dataset(data).target_mean
+            window = (target - cfg.epsilon, target + cfg.epsilon)
+        r = did_att_bound(data, cfg) if did else distributional_att_bound(data, cfg)
+        assert r.status == "optimal" and lp_calls
+        plan = ds._control_bands(data.control_y, ecdf(data.treated_y),
+                                 shift_grid(data.y, cfg.m), ks_mode)
+        ctrl, cols = plan.capped(cfg.gamma), plan.bands.cols
+        lo, hi = plan.bands.at(cfg.delta)
+        bal = balance_terms(data, cfg.balance_lambda)
+        want = [_per_lp_problem(data, cfg, bal, cols, lo[j], hi[j], ctrl, window)
+                for j in range(lo.shape[0])]
+        names = ("c", "sense", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper", "x0")
+        for got in lp_calls:
+            assert any(all(np.array_equal(getattr(got, f), getattr(w, f)) for f in names)
+                       for w in want)
 
     @pytest.mark.parametrize("form,direction,did,ks_mode", [
         ({"balance_lambda": 0.5}, "lower", False, "grid"),
@@ -752,9 +848,9 @@ class TestBalanceRouteWork:
         built = []
         real_build = ds._solve_balance_lp
 
-        def recording(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+        def recording(lp, lo_row, hi_row, start):
             built.append((lo_row.copy(), hi_row.copy()))
-            return real_build(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window)
+            return real_build(lp, lo_row, hi_row, start)
 
         monkeypatch.setattr(ds, "_solve_balance_lp", recording)
         r = did_att_bound(data, cfg) if did else distributional_att_bound(data, cfg)
@@ -814,7 +910,7 @@ class TestBalanceRouteWork:
         assert values[near] != values[far]
         uniform = np.full(y0.size, 1.0 / y0.size)
 
-        def fake(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+        def fake(lp, lo_row, hi_row, start):
             j = rows_of(lo_row, hi_row)
             return (values[j[0]], uniform) if j.size == 1 and j[0] in values else None
 
@@ -853,7 +949,7 @@ class TestBalanceRouteWork:
         assert abs(values[near] - values[far]) > 1e-12  # beyond an absolute 1e-12
         uniform = np.full(y0.size, 1.0 / y0.size)
 
-        def fake(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+        def fake(lp, lo_row, hi_row, start):
             j = rows_of(lo_row, hi_row)
             return (values[j[0]], uniform) if j.size == 1 and j[0] in values else None
 
