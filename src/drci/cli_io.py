@@ -22,7 +22,6 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -139,17 +138,8 @@ class Report:
     warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        """``json.dumps(asdict(self), indent=2, sort_keys=True,
-        allow_nan=False)``, byte for byte; the weights are written apart."""
-        head = {f.name: getattr(self, f.name) for f in fields(self)}
-        weights, head["weights"] = head["weights"], None
-        text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
-        if weights is None:
-            return text
-        # json escapes newlines in strings and indents nested keys deeper,
-        # so only the top-level key matches
-        return text.replace('\n  "weights": null',
-                            '\n  "weights": ' + _weights_json(weights), 1)
+        """Strict JSON, keys sorted, indented by 2."""
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
@@ -158,27 +148,36 @@ class Report:
         return cls(**raw)
 
 
-def _weights_json(weights: dict[str, float]) -> str:
-    """The weights object as an ``indent=2`` dump writes it one level deep:
-    keys sorted, each value as ``float.__repr__`` writes it.  Weights take
-    few distinct values, so each distinct value is formatted once.  Values
-    that are not all ``float`` (an int, a float subclass) are left to json."""
-    if not weights:
+def _report_json(report: Report, weights: str | None) -> str:
+    """``report`` as :meth:`Report.to_json` writes it, with ``weights``, the
+    text of the weights object (:func:`_weights_json`), in place of
+    ``report.weights`` (``None`` writes ``null``)."""
+    head = {f.name: getattr(report, f.name) for f in fields(report)}
+    head["weights"] = None
+    text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
+    if weights is None:
+        return text
+    # json escapes newlines in strings and indents nested keys deeper,
+    # so only the top-level key matches
+    return text.replace('\n  "weights": null', '\n  "weights": ' + weights, 1)
+
+
+def _weights_json(index: np.ndarray, values: np.ndarray) -> str:
+    """The weights object as an ``indent=2`` dump writes it one level deep,
+    for the unit indices ``index`` (ascending, below 10**18) with weights
+    ``values``: keys in text order (:func:`_text_order`), each value as
+    ``float.__repr__`` writes it.  Weights take few distinct values, so each
+    distinct value is formatted once."""
+    if not index.size:
         return "{}"
-    keys = sorted(weights)
-    values = list(map(weights.__getitem__, keys))
-    if set(map(type, values)) != {float}:
-        # one level deeper than a top-level dump: indent every line by 2
-        return json.dumps(weights, indent=2, sort_keys=True,
-                          allow_nan=False).replace("\n", "\n  ")
-    values = np.fromiter(values, float, len(keys))
     if not np.isfinite(values).all():
         raise ValueError("Out of range float values are not JSON compliant")
+    order = _text_order(index)
     # distinct bit patterns, so that -0.0 keeps its sign
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    bits, inverse = np.unique(values[order].view(np.int64), return_inverse=True)
     texts = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()],
                      dtype=object)[inverse].tolist()
-    items = [f"{k}: {v}" for k, v in zip(map(encode_basestring_ascii, keys), texts)]
+    items = [f'"{k}": {v}' for k, v in zip(index[order].tolist(), texts)]
     return "{\n    " + ",\n    ".join(items) + "\n  }"
 
 
@@ -190,30 +189,44 @@ def load_csv(path: str, columns: ColumnMap | None = None) -> Dataset:
     covariate prefix (natural-ordered when the suffixes are numeric).  A
     leading byte-order mark is ignored.
 
-    The needed columns are parsed in one ``np.loadtxt`` call.  A file that
-    read does not take as is (quoted fields, a bad or non-binary value, a
-    missing column, no data rows) is parsed again row by row, which accepts
-    everything ``float()`` does and names the bad rows.
+    The needed columns are parsed in one ``np.loadtxt`` call, which reads
+    the file itself after the header; the text after the header is only
+    screened.  A file that read does not take as is (a quote after the
+    header, a lone carriage return, a line over the csv field size limit,
+    text that is not UTF-8, a bad or non-binary value, a missing column, no
+    data rows) is parsed again row by row, which accepts everything
+    ``float()`` does and names the bad rows.
     """
     columns = columns or ColumnMap()
     data = _load_columnar(path, columns)
     return data if data is not None else _load_rows(path, columns)
 
 
+# names that np.loadtxt opens as compressed files, whatever they hold
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
     """The columnar read; ``None`` for any file the row parser must see."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
+            reader = csv.reader(fh)
+            header = next(reader, None)
             body = fh.read()
     except (UnicodeDecodeError, csv.Error):  # reported by the row parser
         return None
-    if header is None or not body.strip() or '"' in body:
+    if header is None or not _body_fits(body):
         return None
-    # the row parser's csv module refuses fields over its size limit
-    limit = csv.field_size_limit()
-    if len(body) > limit and not _lines_fit(body, limit):
-        return None
+    name = os.fspath(path)
+    if isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED):
+        # NumPy reads the file itself, past the header's physical lines; with
+        # no lone carriage return left, its universal newlines split the
+        # rest as the csv module does.  Anchored at the working directory,
+        # the name is never taken for a URL.
+        source, header_lines = os.path.join(os.getcwd(), name), reader.line_num
+        del body
+    else:  # a pipe cannot be read twice
+        source, header_lines = io.StringIO(body), 0
     cov_cols = _covariate_columns(header, columns)
     wanted = [c for c in (columns.outcome, columns.treatment, columns.baseline,
                           columns.instrument) if c is not None] + cov_cols
@@ -222,8 +235,9 @@ def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
     if any(c not in index for c in wanted):
         return None
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                           usecols=[index[c] for c in wanted], ndmin=2)
+        table = np.loadtxt(source, delimiter=",", comments=None, encoding="utf-8-sig",
+                           skiprows=header_lines, usecols=[index[c] for c in wanted],
+                           ndmin=2)
     except ValueError:
         return None
 
@@ -236,6 +250,19 @@ def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
     x = table[:, len(wanted) - len(cov_cols):].copy() if cov_cols else None
     return Dataset(y=column(columns.outcome), t=t, y_b=column(columns.baseline),
                    z=z, x=x)
+
+
+def _body_fits(body: str) -> bool:
+    """Whether the columnar read may take the text after the header: some
+    non-blank text, no quote, no carriage return outside a CRLF line end,
+    and no line longer than the csv module's field size limit (the row
+    parser refuses such fields)."""
+    if not body or body.isspace() or '"' in body:
+        return False
+    if "\r" in body and body.count("\r") != body.count("\r\n"):
+        return False
+    limit = csv.field_size_limit()
+    return len(body) <= limit or _lines_fit(body, limit)
 
 
 def _lines_fit(text: str, limit: int) -> bool:
@@ -375,15 +402,21 @@ def _solve(config: RunConfig, sens: SensitivityConfig, data: Dataset) -> BoundRe
 
 def run(config: RunConfig, data: Dataset | None = None) -> Report:
     """Load (unless given), solve, and wrap the result in a Report."""
+    report, emitted = _run(config, data)
+    if emitted is None:
+        return report
+    return replace(report, weights=_report_weights(emitted))
+
+
+def _run(config: RunConfig, data: Dataset | None = None) -> tuple[Report, BoundResult | None]:
+    """:func:`run`'s Report without its weights, and the result whose weights
+    it holds (``None`` when it holds none)."""
     start = time.perf_counter()
     sens = config.sensitivity()
     data = _dataset(config, data, sens.wants_balance)
     result = _solve(config, sens, data)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    weights = None
-    if config.emit_weights and result.status == "optimal":
-        weights = _report_weights(result)
-    return Report(
+    report = Report(
         estimate=_json_float(result.estimate),
         direction=result.direction,
         gamma=config.gamma,
@@ -395,11 +428,13 @@ def run(config: RunConfig, data: Dataset | None = None) -> Report:
         n=data.n,
         n1=data.n1,
         n0=data.n0,
-        weights=weights,
+        weights=None,
         runtime_ms=runtime_ms,
         config=config.echo(),
         warnings=result.warnings,
     )
+    emits = config.emit_weights and result.status == "optimal"
+    return report, result if emits else None
 
 
 def _report_weights(result: BoundResult) -> dict[str, float]:
@@ -616,8 +651,12 @@ def main(argv=None) -> int:
             text = sweep(config, config.gammas, deltas)
             _emit(config, text)
             return 0
-        report = run(config)
-        _emit(config, report.to_json())
+        # the report as run(config).to_json() writes it, with the weights
+        # written from the result's arrays, not from a dict of them
+        report, emitted = _run(config)
+        _emit(config, _report_json(report, None if emitted is None else
+                                   _weights_json(emitted.weight_index,
+                                                 emitted.weight_values)))
         return 0 if report.status == "optimal" else 2
     except (ValueError, TypeError, OSError, KeyError, RuntimeError,
             csv.Error) as exc:

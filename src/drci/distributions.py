@@ -167,8 +167,7 @@ def _pick(values: np.ndarray, group: np.ndarray, rank: np.ndarray, maximize: boo
     within ``tol`` of the group's largest (``maximize``) or smallest value
     tie, and the one of lowest ``rank`` (distinct within a group) wins.
     ``group`` labels the entries, nondecreasing."""
-    new = np.ones(group.size, dtype=bool)
-    new[1:] = group[1:] != group[:-1]
+    new = _run_starts(group)
     first, at = new.nonzero()[0], new.cumsum() - 1
     best = (np.maximum if maximize else np.minimum).reduceat(values, first)
     tied = np.abs(values - best[at]) <= tol
@@ -197,6 +196,13 @@ def shift_grid(values, m: int) -> ShiftGrid:
 def ecdf(values, weights=None) -> WeightedEcdf:
     """Weighted ECDF of ``values``; duplicates merged, weights normalized.
 
+    The values are sorted once.  An atom's mass is its units' weights added
+    one by one in value order (stable, so in input order on a tie), over the
+    pairwise sum of all the weights; unweighted, that is
+    :func:`_count_masses` of the atom counts.  A zero atom is always +0.0
+    (the values enter as ``values + 0.0``), whichever signs of zero the
+    sample holds.
+
     Raises on empty or non-finite input, negative weights, or zero total
     weight.
     """
@@ -205,29 +211,52 @@ def ecdf(values, weights=None) -> WeightedEcdf:
         raise ValueError("ecdf needs a nonempty 1-d value array")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
+    values = values + 0.0  # -0.0 + 0.0 is +0.0; every other value is kept
     if weights is None:
-        weights = np.full(values.size, 1.0 / values.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != values.shape:
-            raise ValueError("values and weights must have equal length")
-        if not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
+        v = np.sort(values)
+        starts = np.flatnonzero(_run_starts(v))
+        masses = _count_masses(np.diff(starts, append=v.size), v.size)
+        return WeightedEcdf(atoms=v[starts], weights=masses)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != values.shape:
+        raise ValueError("values and weights must have equal length")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
     total = weights.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
     order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
-    uniq, inverse = np.unique(v, return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, w)
+    v = values[order]
+    new = _run_starts(v)
+    merged = np.zeros(np.count_nonzero(new))
+    np.add.at(merged, np.cumsum(new) - 1, weights[order])
     merged /= total
     keep = merged > 0
     if not keep.any():
         raise ValueError("total weight must be positive")
-    return WeightedEcdf(atoms=uniq[keep], weights=merged[keep])
+    return WeightedEcdf(atoms=v[new][keep], weights=merged[keep])
+
+
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted ``v`` starts a run of equal values."""
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    return new
+
+
+def _count_masses(counts: np.ndarray, n) -> np.ndarray:
+    """:func:`ecdf`'s masses of atoms holding ``counts`` (..., K) of ``n``
+    (...) units of weight 1/n each, 0 where a count is 0: 1/n added once per
+    unit (a cumulative sum, as :func:`numpy.add.at` adds), over the pairwise
+    sum of the n weights."""
+    n = np.asarray(n)
+    added = np.cumsum(np.broadcast_to((1.0 / n)[..., None], n.shape + (int(n.max()),)),
+                      axis=-1)
+    total = np.array([np.full(k, 1.0 / k).sum() for k in n.ravel().tolist()])
+    masses = np.take_along_axis(added, np.maximum(counts - 1, 0), axis=-1)
+    return np.where(counts > 0, masses, 0.0) / total.reshape(n.shape + (1,))
 
 
 def ks(f: WeightedEcdf, g: WeightedEcdf) -> float:
@@ -384,15 +413,19 @@ def cic_target_cdf(
     atom masses.  When the top level falls short of 1 (support mismatch
     between the baseline samples) the masses are renormalized; on panels
     where both baseline CDFs carry the same attainable levels the
-    composition is exact.
+    composition is exact.  ``F_00``'s atoms are sorted and distinct already,
+    so the result is built from them directly, with no sort: the atoms of
+    zero mass are dropped and the masses divided by their sum, which is
+    what :func:`ecdf` of the atoms with these weights gives, bit for bit.
     """
-    atoms = f_00.atoms
     levels = f_b1.cdf(f_b0.quantile(f_00.cum))
-    masses = np.diff(levels, prepend=0.0)
-    masses = np.maximum(masses, 0.0)
-    if masses.sum() <= 0:
+    masses = np.maximum(np.diff(levels, prepend=0.0), 0.0)
+    total = masses.sum()
+    if total <= 0:
         raise ValueError("degenerate composition: no mass below F_b0's support")
-    return ecdf(atoms, masses)
+    masses /= total
+    keep = masses > 0
+    return WeightedEcdf(atoms=f_00.atoms[keep], weights=masses[keep])
 
 
 @dataclass(frozen=True)

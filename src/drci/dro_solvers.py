@@ -62,8 +62,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, _grid_bands,
-                            _grid_shifts, _pick, _shift_rank, ecdf, shift_grid)
+from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, _count_masses,
+                            _grid_bands, _grid_shifts, _pick, _shift_rank, ecdf, shift_grid)
 from .lp_core import LpProblem, solve_lp
 
 __all__ = [
@@ -378,8 +378,9 @@ class _ShiftSolve:
 
     The extreme allocations are kept as their cumulative weights at the
     breakpoint columns ``cols[1:]``; ``ctrl.cum_caps`` expands one to all
-    atoms.  Each weighted-mean range end is computed on first access, so a
-    caller that needs one direction pays for one.
+    atoms.  Each weighted-mean range end is computed over all shifts on
+    first access, so a caller that needs one direction pays for one;
+    :meth:`masses_for` computes both ends at its one shift only.
     """
 
     ctrl: _ControlAtoms
@@ -396,13 +397,19 @@ class _ShiftSolve:
     def obj_max(self) -> np.ndarray:
         return _bucket_means(self.ctrl, self.cols, self.c_least, from_top=True)
 
+    def _extreme(self, idx: int, from_top: bool) -> float:
+        """``obj_max[idx]`` (``from_top``) or ``obj_min[idx]``, by the same
+        row reduction, without computing the other shifts' values."""
+        cum = self.c_least if from_top else self.c_great
+        return _bucket_means(self.ctrl, self.cols, cum[idx:idx + 1], from_top)[0]
+
     def masses_for(self, idx: int, value: float, atoms: np.ndarray) -> np.ndarray:
         """Masses on ``atoms`` attaining ``value`` at shift ``idx`` (blend of
         the two extreme allocations; any intermediate mean is attainable)."""
         cum_caps = self.ctrl.cum_caps
         v_hi = _masses(_bucket_cumulative(self.cols, self.c_least[idx],
                                           cum_caps, from_top=True))
-        f_max, f_min = self.obj_max[idx], self.obj_min[idx]
+        f_max, f_min = self._extreme(idx, True), self._extreme(idx, False)
         if f_max - f_min <= _TIE_TOL:
             return v_hi
         v_lo = _masses(_bucket_cumulative(self.cols, self.c_great[idx],
@@ -740,7 +747,8 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
     """The :func:`_distributional_plan` of every sample ``(y, t)`` of
     ``draws`` (both arms nonempty), value for value, built for the block at
     once: row-wise sorts give the distinct atoms of both arms, the treated
-    ECDF masses are summed in :func:`~drci.distributions.ecdf`'s order, and
+    ECDF masses come from :func:`~drci.distributions.ecdf`'s own rule
+    (:func:`~drci.distributions._count_masses`), and
     each row's shift grid and tie order come from the row-wise helpers of
     :func:`~drci.distributions.shift_grid`.
 
@@ -764,13 +772,8 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
 
     atoms, counts, inverse, k0 = _row_atoms(y[~treated], unit_row[~treated], n_rows)
     t_atoms, t_counts, _, k1 = _row_atoms(y[treated], unit_row[treated], n_rows)
-    # ecdf: each atom's mass is 1/n1 added once per unit, over the pairwise
-    # sum of the n1 unit weights
     n1 = np.bincount(unit_row[treated], minlength=n_rows)
-    added = np.cumsum(np.broadcast_to((1.0 / n1)[:, None], (n_rows, n1.max())), axis=1)
-    total = np.array([np.full(k, 1.0 / k).sum() for k in n1.tolist()])
-    masses = np.where(t_counts > 0, np.take_along_axis(
-        added, np.maximum(t_counts - 1, 0), axis=1), 0.0) / total[:, None]
+    masses = _count_masses(t_counts, n1)  # ecdf's masses, row by row
     t_cdf = np.zeros((n_rows, masses.shape[1] + 1))  # [0, WeightedEcdf.cum]
     t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
     t_cdf[np.arange(n_rows), k1] = 1.0

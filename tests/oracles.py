@@ -321,3 +321,33 @@ def brute_iv(strata_y, gamma, delta, epsilon, m, direction="lower"):
         share = p[(1, z)] / p1
         total += share * (float(strata_y[(1, z)].mean()) - best)
     return "optimal", total
+
+
+def sort_merge_ecdf(values, weights=None):
+    """Atoms and masses of the weighted ECDF by the textbook merge: a stable
+    sort, :func:`numpy.unique`, the weights added per atom with
+    :func:`numpy.add.at`, then divided by their pairwise total (1/n each
+    when unweighted).  Zero-mass atoms are dropped."""
+    values = np.asarray(values, dtype=float)
+    if weights is None:
+        weights = np.full(values.size, 1.0 / values.size)
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    order = np.argsort(values, kind="stable")
+    uniq, inverse = np.unique(values[order], return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, weights[order])
+    merged /= total
+    keep = merged > 0
+    return uniq[keep], merged[keep]
+
+
+def composed_target(f_b1, f_b0, f_00):
+    """Atoms and masses of the changes-in-changes target: the levels
+    ``F_b1(F_b0^{-1}(F_00))`` at F_00's atoms, differenced, clipped at 0 and
+    merged by :func:`sort_merge_ecdf`; ``None`` when no mass is left."""
+    levels = f_b1.cdf(f_b0.quantile(f_00.cum))
+    masses = np.maximum(np.diff(levels, prepend=0.0), 0.0)
+    if masses.sum() <= 0:
+        return None
+    return sort_merge_ecdf(f_00.atoms, masses)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -143,6 +144,9 @@ EDGE_FILES = [
     ("long_number", f"y,t\n{_LONG_NUMBER},0\n2,1\n", None, False),
     # past the first 8 KiB read, where the two reads would place it apart
     ("bad_utf8", b"y,t\n" + b"1,0\n2,1\n" * 3000 + b"\xff,1\n", None, False),
+    ("lone_cr_late", b"y,t\n" + b"1,0\n2,1\n" * 3000 + b"3,0\r4,1\n", None, False),
+    ("crlf_bom", "\ufeffy,t\r\n1.5,0\r\n2,1\r\n", None, True),
+    ("quoted_header_newline", '"a\nb",y,t\n1,0,0\n2,1,1\n', None, True),
 ]
 
 
@@ -161,6 +165,42 @@ class TestColumnarRead:
         except ValueError:  # parsed, then refused by the Dataset checks
             taken = True
         assert taken == columnar
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # a pipe cannot be read twice: the columnar read parses the text it
+        # screened, as it does for a file
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        text = "\ufeffy,t\r\n1.5,0\r\n2,1\r\n"
+        writer = threading.Thread(target=path.write_text, args=(text,),
+                                  kwargs={"encoding": "utf-8"})
+        writer.start()
+        try:
+            data = cli_io._load_columnar(str(path), ColumnMap())
+        finally:
+            writer.join()
+        assert data.y.tolist() == [1.5, 2.0] and data.t.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma",
+                                      "http://localhost/d.csv"])
+    def test_plain_text_under_any_name(self, tmp_path, monkeypatch, name):
+        # np.loadtxt picks a decompressor by a path's ending and fetches a
+        # path that parses as a URL; a plain CSV under such a name is read as
+        # text, from this directory, as any other name is
+        import urllib.request
+
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("the read went to the network")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+        with open(name, "w", newline="") as fh:
+            fh.write("y,t\r\n1.5,0\r\n2,1\r\n")
+        data = cli_io._load_columnar(name, ColumnMap())
+        assert data.y.tolist() == [1.5, 2.0] and data.t.tolist() == [0, 1]
+        assert main(["att", "--input", name, "--output", "r.json"]) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(values=st.lists(st.floats(-1e300, 1e300),
@@ -543,6 +583,33 @@ class TestMain:
         assert same_process[0]["weights"]
         assert same_process[1]["weights"] is None
         assert same_process[1]["config"]["emit_weights"] is False
+
+    @pytest.mark.parametrize("command", ["att", "atc", "did", "cic", "iv"])
+    def test_report_file_is_the_asdict_dump(self, tmp_path, command):
+        # n >= 150 with tied outcomes, and controls 9, 10 and 100, whose keys
+        # sort differently as text
+        rng = np.random.default_rng(11)
+        n = 160
+        t = (rng.random(n) < 0.4).astype(int)
+        t[[9, 10, 100]] = 0
+        z = rng.integers(0, 2, n)
+        y = np.round(rng.normal(t, 1.0) * 4) / 4
+        y_b = np.round(y - rng.normal(0.2, 0.5, n), 1)
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,y_b,z\n" + "".join(
+            f"{a!r},{b},{c!r},{d}\n" for a, b, c, d in zip(y.tolist(), t, y_b.tolist(), z)))
+        out = tmp_path / "report.json"
+        argv = [command, "--input", str(path), "--output", str(out), "--model",
+                "distributional", "--gamma", "2", "--delta", "0.3", "--m", "5",
+                "--epsilon", "0.5", "--emit-weights"]
+        assert main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        report = run(cli_io.build_config(cli_io._build_parser().parse_args(argv)))
+        assert report.weights
+        if command != "atc":  # atc weighs the treated
+            assert {"9", "10", "100"} <= report.weights.keys()
+        report = replace(report, runtime_ms=json.loads(text)["runtime_ms"])
+        assert text == json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False)
 
     def test_infeasible_exit_two(self, fixture_csv, capsys):
         code = main(["att", "--input", fixture_csv, "--model",

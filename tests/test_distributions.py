@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_shift_ks, raw_shift_rows
+from oracles import brute_shift_ks, composed_target, raw_shift_rows, sort_merge_ecdf
 
 from drci.distributions import (
     Dataset,
@@ -75,6 +75,51 @@ class TestEcdf:
             assert np.all(np.diff(f.atoms) > 0)
             assert f.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(f.weights > 0)
+
+
+# special values: signed zeros, subnormals, the extremes of the float range
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -1.5,
+            1e300, -1e300]
+
+
+def _ecdf_sample(rng, n, kind, pool):
+    if kind == "continuous":
+        return rng.normal(size=n) * 10.0 ** rng.integers(-300, 300)
+    if kind == "one_value":
+        return np.full(n, pool[0])
+    return rng.choice(np.array(pool + _SPECIAL if kind == "special" else pool), n)
+
+
+class TestEcdfReference:
+    """The one-sort :func:`ecdf` against the sort-and-merge reference,
+    bit for bit, with every zero atom +0.0."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["ties", "one_value", "special", "continuous"]),
+           pool=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=6),
+           weighted=st.booleans())
+    def test_matches_sort_merge(self, n, seed, kind, pool, weighted):
+        rng = np.random.default_rng(seed)
+        values = _ecdf_sample(rng, n, kind, pool)
+        weights = None
+        if weighted:
+            weights = rng.random(n) * (rng.random(n) < 0.8)
+            weights[rng.integers(n)] = 1.0  # a positive total
+        atoms, masses = sort_merge_ecdf(values, weights)
+        f = ecdf(values, weights)
+        assert f.atoms.tobytes() == (atoms + 0.0).tobytes()
+        assert f.weights.tobytes() == masses.tobytes()
+        assert not np.signbit(f.atoms[f.atoms == 0]).any()
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [-0.0], [-0.0, -0.0, 1.0],
+                                        [1.0, -0.0, 0.0, -1.0, 0.0]])
+    def test_zero_atom_is_positive(self, values):
+        for weights in (None, np.arange(1.0, len(values) + 1)):
+            f = ecdf(values, weights)
+            zero = f.atoms[f.atoms == 0]
+            assert zero.size == 1 and not np.signbit(zero[0])
 
 
 class TestKs:
@@ -263,6 +308,26 @@ class TestCicTargetCdf:
         f_b1 = ecdf([10.0, 11.0])
         with pytest.raises(ValueError):
             cic_target_cdf(f_b1, f_b0, ecdf([7.0]))
+
+
+class TestCicTargetReference:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(*[st.integers(1, 60)] * 3),
+           ties=st.booleans(), offset=st.floats(-3.0, 3.0))
+    def test_matches_ecdf_of_masses(self, seed, sizes, ties, offset):
+        # the former ending: ecdf of F_00's atoms weighted by the masses
+        rng = np.random.default_rng(seed)
+        draw = (lambda k: rng.integers(-4, 5, k) * 0.5) if ties else \
+            (lambda k: rng.normal(size=k))
+        f_b1, f_b0, f_00 = (ecdf(draw(k) + shift) for k, shift in zip(sizes, (offset, 0, 0)))
+        expected = composed_target(f_b1, f_b0, f_00)
+        if expected is None:
+            with pytest.raises(ValueError, match="degenerate composition"):
+                cic_target_cdf(f_b1, f_b0, f_00)
+            return
+        out = cic_target_cdf(f_b1, f_b0, f_00)
+        assert out.atoms.tobytes() == expected[0].tobytes()
+        assert out.weights.tobytes() == expected[1].tobytes()
 
 
 def _oracle_grid_bands(y0, y1, m):

@@ -431,6 +431,54 @@ class TestBucketKernel:
         assert elapsed < 1.0
 
 
+class TestOneRowExtreme:
+    """``_ShiftSolve.masses_for`` reads both weighted-mean range ends at the
+    picked shift only: the same row reduction, so the same value as the
+    full grid's entry."""
+
+    @pytest.mark.parametrize("m", [1, 20, 200])
+    @pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+    def test_one_row_equals_full_grid(self, m, shape):
+        data = _kernel_dataset(np.random.default_rng(m), shape, 300, 200)
+        plan = ds._distributional_plan(data, m, "grid")
+        ctrl = plan.capped(2.0)
+        bands = plan.bands.at(0.5)
+
+        def fresh():
+            return ds._shift_solve(ctrl, plan.bands, *bands)
+
+        full = fresh()
+        rows = np.flatnonzero(full.feasible)
+        assert rows.size
+        for from_top, name in ((True, "obj_max"), (False, "obj_min")):
+            solve = fresh()
+            one = np.array([solve._extreme(j, from_top) for j in rows])
+            assert name not in solve.__dict__
+            assert np.all(one == getattr(full, name)[rows])
+            assert one.tobytes() == getattr(full, name)[rows].tobytes()
+
+    @pytest.mark.parametrize("m", [1, 20, 200])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_att_bound_reads_one_grid(self, m, direction):
+        data = _kernel_dataset(np.random.default_rng(m), "spread", 300, 200)
+        plan = ds._distributional_plan(data, m, "grid")
+        ctrl = plan.capped(2.0)
+        unread = "obj_min" if direction == "lower" else "obj_max"
+        results = []
+        for both in (False, True):
+            solve = ds._shift_solve(ctrl, plan.bands, *plan.bands.at(0.1))
+            if both:  # both grids cached before the pick, as before
+                solve.obj_min, solve.obj_max
+            treated_mean = float(data.treated_y.mean())
+            results.append(ds._bound_from_solve(data, plan.grid, solve, direction, None,
+                                                treated_mean))
+            assert (unread in solve.__dict__) == both
+        one, full = results
+        assert one.status == full.status == "optimal"
+        assert one == full
+        assert one.weight_values.tobytes() == full.weight_values.tobytes()
+
+
 def _near_tol_bands(rng, gamma, rows=400, k=40, width=6):
     """Bands (rows, width) whose interior column ``j`` of each row has a
     clipped lower band above the upper by about ``_TOL``: within 8 ulps of it

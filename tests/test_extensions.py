@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from drci.distributions import Dataset, shift_grid
+import drci.dro_solvers
+import drci.extensions
+from drci.distributions import Dataset, WeightedEcdf, shift_grid
 from drci.dro_solvers import SensitivityConfig, _select_shift, distributional_att_bound
 from drci.extensions import (
     DidTargets,
@@ -13,7 +16,7 @@ from drci.extensions import (
     iv_att_bound,
 )
 
-from oracles import brute_distributional, brute_iv
+from oracles import brute_distributional, brute_iv, composed_target, sort_merge_ecdf
 
 
 def _panel(rng, n0=5, n1=4):
@@ -269,3 +272,86 @@ class TestIv:
                 cand = np.flatnonzero(ok & (flat == best))
                 order = np.lexsort((c2[cand], np.abs(c2[cand]), c1[cand], np.abs(c1[cand])))
                 assert got == cand[order[0]]
+
+
+def _scaled_panel(rng):
+    n0, n1 = int(rng.integers(20, 60)), int(rng.integers(15, 45))
+    data = _panel(rng, n0, n1)
+    if rng.random() < 0.5:  # tied outcomes
+        data = Dataset(y=np.round(data.y * 2) / 2, t=data.t, y_b=np.round(data.y_b * 2) / 2)
+    return data
+
+
+class TestMeanWindowScale:
+    """The DiD/CIC mean window at earnings scale: outcomes, baselines and
+    the slack times 1e5 give the same status, and the active shift and the
+    estimate times 1e5 up to 1e-9 (1 + max|y|)."""
+
+    @pytest.mark.parametrize("bound", [did_att_bound, cic_att_bound], ids=["did", "cic"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01, math.inf])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    def test_scaled_outcomes(self, bound, epsilon, direction):
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            data = _scaled_panel(rng)
+            big = Dataset(y=data.y * 1e5, t=data.t, y_b=data.y_b * 1e5)
+            cfg = SensitivityConfig(gamma=float(rng.uniform(1, 3)),
+                                    delta=float(rng.uniform(0.1, 0.6)),
+                                    m=int(rng.integers(2, 12)), epsilon=epsilon,
+                                    direction=direction)
+            small = bound(data, cfg)
+            large = bound(big, replace(cfg, epsilon=epsilon * 1e5))
+            assert large.status == small.status
+            if small.status != "optimal":
+                continue
+            tol = 1e-9 * (1 + max(np.abs(big.y).max(), np.abs(big.y_b).max()))
+            assert abs(large.estimate - 1e5 * small.estimate) <= tol
+            assert abs(large.active_shift - 1e5 * small.active_shift) <= tol
+
+
+def _merged_ecdf(values, weights=None):
+    return WeightedEcdf(*sort_merge_ecdf(values, weights))
+
+
+def _merged_cic_target(f_b1, f_b0, f_00):
+    return WeightedEcdf(*composed_target(f_b1, f_b0, f_00))
+
+
+def _bits(r):
+    shift = None if r.active_shift is None else np.float64(r.active_shift).tobytes()
+    return (np.float64(r.estimate).tobytes(), np.float64(r.se).tobytes(),
+            np.float64(r.counterfactual_mean).tobytes(), shift,
+            r.weight_index.tobytes(), r.weight_values.tobytes(), r.status)
+
+
+class TestSignedZeroSamples:
+    """A zero atom is always +0.0.  On samples holding both 0.0 and -0.0,
+    bounds built on the sort-and-merge ECDF (which keeps whichever zero its
+    sort puts first) are the same bit for bit."""
+
+    def test_bounds_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        cases = []
+        for _ in range(12):
+            n = 80
+            y = rng.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -1.5, 2.0], n)
+            y_b = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], n)
+            t = np.r_[np.zeros(n // 2, int), np.ones(n - n // 2, int)]
+            z = rng.integers(0, 2, n)
+            z[[0, 1, n - 2, n - 1]] = [0, 1, 0, 1]
+            cases.append(Dataset(y=y, t=t, y_b=y_b, z=z))
+        calls = [(distributional_att_bound, {}), (did_att_bound, {"epsilon": 0.2}),
+                 (cic_att_bound, {"epsilon": 0.2}), (cic_att_bound, {"epsilon": 0.0}),
+                 (iv_att_bound, {"epsilon": 0.2})]
+
+        def solve_all():
+            return [_bits(fn(data, SensitivityConfig(gamma=2.0, delta=0.3, m=4,
+                                                     direction=d, **knobs)))
+                    for data in cases for fn, knobs in calls for d in ("lower", "upper")]
+
+        now = solve_all()
+        monkeypatch.setattr(drci.dro_solvers, "ecdf", _merged_ecdf)
+        monkeypatch.setattr(drci.extensions, "ecdf", _merged_ecdf)
+        monkeypatch.setattr(drci.extensions, "cic_target_cdf", _merged_cic_target)
+        assert solve_all() == now
+        assert any(status == "optimal" for *_, status in now)
