@@ -90,17 +90,9 @@ class RunConfig:
             raise ValueError(f"{self.command} requires the distributional model")
 
     def sensitivity(self) -> SensitivityConfig:
-        return SensitivityConfig(
-            gamma=self.gamma,
-            delta=self.delta,
-            epsilon=self.epsilon,
-            lambda_tv=self.lambda_tv,
-            m=self.m,
-            balance_lambda=self.balance_lambda,
-            balance_epsilon=self.balance_epsilon,
-            direction=self.direction,
-            ks_mode=self.ks_mode,
-        )
+        """The :class:`SensitivityConfig` of this run's same-named fields."""
+        return SensitivityConfig(**{f.name: getattr(self, f.name)
+                                    for f in fields(SensitivityConfig)})
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -195,21 +187,35 @@ def load_csv(path: str, columns: ColumnMap | None = None) -> Dataset:
     header, a lone carriage return, a line over the csv field size limit,
     text that is not UTF-8, a bad or non-binary value, a missing column, no
     data rows) is parsed again row by row, which accepts everything
-    ``float()`` does and names the bad rows.
+    ``float()`` does and names the bad rows.  An input that is not a
+    regular file, such as a pipe, can be read only once: its bytes are read
+    whole first, and both parsers read those.
     """
     columns = columns or ColumnMap()
+    if not os.path.isfile(path):
+        with open(path, "rb") as fh:
+            path = io.BytesIO(fh.read())
     data = _load_columnar(path, columns)
     return data if data is not None else _load_rows(path, columns)
+
+
+def _open_text(source):
+    """``source``, a path or an input's bytes read whole, as CSV text."""
+    if not isinstance(source, io.BytesIO):
+        return open(source, newline="", encoding="utf-8-sig")
+    # a copy, so that closing it leaves ``source`` to the next reader
+    return io.TextIOWrapper(io.BytesIO(source.getvalue()), newline="", encoding="utf-8-sig")
 
 
 # names that np.loadtxt opens as compressed files, whatever they hold
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
-    """The columnar read; ``None`` for any file the row parser must see."""
+def _load_columnar(path, columns: ColumnMap) -> Dataset | None:
+    """The columnar read of :func:`_open_text`'s ``source``; ``None`` for
+    any input the row parser must see."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _open_text(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             body = fh.read()
@@ -217,7 +223,7 @@ def _load_columnar(path: str, columns: ColumnMap) -> Dataset | None:
         return None
     if header is None or not _body_fits(body):
         return None
-    name = os.fspath(path)
+    name = path if isinstance(path, io.BytesIO) else os.fspath(path)
     if isinstance(name, str) and os.path.isfile(name) and not name.endswith(_COMPRESSED):
         # NumPy reads the file itself, past the header's physical lines; with
         # no lone carriage return left, its universal newlines split the
@@ -283,9 +289,9 @@ def _longest_line(text: str) -> int:
     return int(np.diff(ends).max()) - 1
 
 
-def _load_rows(path: str, columns: ColumnMap) -> Dataset:
+def _load_rows(path, columns: ColumnMap) -> Dataset:
     """The row parser: ``csv.DictReader`` and ``float()`` per cell."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_text(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError("input CSV is empty")

@@ -380,7 +380,7 @@ class _ShiftSolve:
     breakpoint columns ``cols[1:]``; ``ctrl.cum_caps`` expands one to all
     atoms.  Each weighted-mean range end is computed over all shifts on
     first access, so a caller that needs one direction pays for one;
-    :meth:`masses_for` computes both ends at its one shift only.
+    :meth:`weights_for` computes both ends at its one shift only.
     """
 
     ctrl: _ControlAtoms
@@ -403,19 +403,27 @@ class _ShiftSolve:
         cum = self.c_least if from_top else self.c_great
         return _bucket_means(self.ctrl, self.cols, cum[idx:idx + 1], from_top)[0]
 
-    def masses_for(self, idx: int, value: float, atoms: np.ndarray) -> np.ndarray:
-        """Masses on ``atoms`` attaining ``value`` at shift ``idx`` (blend of
-        the two extreme allocations; any intermediate mean is attainable)."""
-        cum_caps = self.ctrl.cum_caps
-        v_hi = _masses(_bucket_cumulative(self.cols, self.c_least[idx],
-                                          cum_caps, from_top=True))
+    def _extreme_masses(self, idx: int, from_top: bool) -> np.ndarray:
+        """Per-atom masses of shift ``idx``'s least element filled from the
+        top (``from_top``) or its greatest filled from the bottom."""
+        cum = self.c_least if from_top else self.c_great
+        return _masses(_bucket_cumulative(self.cols, cum[idx], self.ctrl.cum_caps, from_top))
+
+    def extreme_weights(self, idx: int, from_top: bool) -> np.ndarray:
+        """Control unit weights of one extreme allocation of shift ``idx``
+        (see :meth:`_extreme_masses`)."""
+        return self.ctrl.unit_weights(self._extreme_masses(idx, from_top))
+
+    def weights_for(self, idx: int, value: float) -> np.ndarray:
+        """Control unit weights attaining ``value`` at shift ``idx``: the
+        two extreme allocations' masses blended (any intermediate mean is
+        attainable), then split among the units once."""
+        masses = self._extreme_masses(idx, True)
         f_max, f_min = self._extreme(idx, True), self._extreme(idx, False)
-        if f_max - f_min <= _TIE_TOL:
-            return v_hi
-        v_lo = _masses(_bucket_cumulative(self.cols, self.c_great[idx],
-                                          cum_caps, from_top=False))
-        lam = np.clip((value - f_min) / (f_max - f_min), 0.0, 1.0)
-        return lam * v_hi + (1.0 - lam) * v_lo
+        if not f_max - f_min <= _TIE_TOL:  # an overflowed (NaN) range blends too
+            lam = np.clip((value - f_min) / (f_max - f_min), 0.0, 1.0)
+            masses = lam * masses + (1.0 - lam) * self._extreme_masses(idx, False)
+        return self.ctrl.unit_weights(masses)
 
 
 def _control_bands(control_y: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
@@ -554,26 +562,22 @@ def distributional_att_bound(data: Dataset, config: SensitivityConfig) -> BoundR
     return _distributional_core(data, config, mean_window=None)
 
 
-def _distributional_core(
-    data: Dataset,
-    config: SensitivityConfig,
-    mean_window: tuple[float, float] | None,
-    warnings: tuple[str, ...] = (),
-) -> BoundResult:
+def _distributional_core(data: Dataset, config: SensitivityConfig,
+                         mean_window: tuple[float, float] | None) -> BoundResult:
     treated_mean = float(data.treated_y.mean())
     if config.wants_balance:
-        return _distributional_lp_route(data, config, mean_window, treated_mean, warnings)
+        return _distributional_lp_route(data, config, mean_window, treated_mean)
 
     plan = _distributional_plan(data, config.m, config.ks_mode)
     solve = _shift_solve(plan.capped(config.gamma), plan.bands,
                          *plan.bands.at(config.delta))
     return _bound_from_solve(data, plan.grid, solve, config.direction,
-                             mean_window, treated_mean, warnings)
+                             mean_window, treated_mean)
 
 
 def _bound_from_solve(data: Dataset, grid: ShiftGrid, solve: _ShiftSolve,
                       direction: str, mean_window: tuple[float, float] | None,
-                      treated_mean: float, warnings: tuple[str, ...] = ()) -> BoundResult:
+                      treated_mean: float) -> BoundResult:
     """The bound in ``direction`` from one shift solve: the best feasible
     shift, its weights expanded to the control units, and their SE."""
     maximize = direction == "lower"
@@ -586,12 +590,10 @@ def _bound_from_solve(data: Dataset, grid: ShiftGrid, solve: _ShiftSolve,
 
     pick = _select_shift(values, ok, grid.rank, maximize)
     if pick is None:
-        return _infeasible(direction, treated_mean, warnings)
+        return _infeasible(direction, treated_mean)
     value = float(values[pick])
-    w = solve.ctrl.unit_weights(solve.masses_for(pick, value, solve.ctrl.atoms))
-    return _optimal_result(
-        data, direction, w, value, treated_mean, float(grid.shifts[pick]), warnings,
-    )
+    return _optimal_result(data, direction, solve.weights_for(pick, value), value,
+                           treated_mean, float(grid.shifts[pick]))
 
 
 def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
@@ -868,13 +870,9 @@ def _lower_block_scan(plan: _BlockPlan, group: _BandGroup, rows: np.ndarray,
     out[won, j[pick]] = plan.treated_mean[won] - values[pick]
 
 
-def _distributional_lp_route(
-    data: Dataset,
-    config: SensitivityConfig,
-    mean_window: tuple[float, float] | None,
-    treated_mean: float,
-    warnings: tuple[str, ...],
-) -> BoundResult:
+def _distributional_lp_route(data: Dataset, config: SensitivityConfig,
+                             mean_window: tuple[float, float] | None,
+                             treated_mean: float) -> BoundResult:
     """Shift enumeration with per-shift LPs; needed once covariate-balance
     terms couple the objective across atoms.
 
@@ -891,8 +889,13 @@ def _distributional_lp_route(
     shift gives.  Values within ``_TIE_TOL`` times ``1 + max|y0|`` tie: the
     LP values carry roundoff of the outcome scale, and which of two tied
     shifts a pivot path favours must not decide the pick.  Each LP starts
-    from its shift's row of one kernel scan of the unwidened bands.
+    from its shift's extreme weights in one kernel solve of the unwidened
+    bands (:meth:`_ShiftSolve.extreme_weights`).  The penalty and the cap
+    are two forms of one balance term, so a config setting both is refused.
     """
+    if config.balance_lambda > 0 and config.balance_epsilon is not None:
+        raise ValueError("balance_lambda and balance_epsilon exclude each other: "
+                         "set the penalty or the cap, not both")
     y0 = data.control_y
     plan = _distributional_plan(data, config.m, config.ks_mode)
     ctrl, bands = plan.capped(config.gamma), plan.bands
@@ -918,15 +921,14 @@ def _distributional_lp_route(
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((rank[cand], bound[cand]))]
 
-    _, c_least, c_great = _breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols])
-    start = c_least if maximize else c_great
+    start = _shift_solve(ctrl, bands, lo, hi)
     values = np.full(rank.size, np.nan)  # penalized LP value per solved shift
     solved = {}  # shift index -> control weights
     best = math.inf  # best oriented value so far
     for j in cand:
         if bound[j] > best + slack:
             break
-        sol = _solve_balance_lp(lp, lo[j], hi[j], start[j])
+        sol = _solve_balance_lp(lp, lo[j], hi[j], start.extreme_weights(j, maximize))
         if sol is None:
             continue
         values[j], solved[j] = sol
@@ -934,12 +936,10 @@ def _distributional_lp_route(
     pick = _select_shift(values, ~np.isnan(values), rank, maximize,
                          tol=_TIE_TOL * scale)
     if pick is None:
-        return _infeasible(config.direction, treated_mean, warnings)
+        return _infeasible(config.direction, treated_mean)
     w = solved[pick]
-    return _optimal_result(
-        data, config.direction, w, float(w @ y0), treated_mean,
-        float(plan.grid.shifts[pick]), warnings,
-    )
+    return _optimal_result(data, config.direction, w, float(w @ y0), treated_mean,
+                           float(plan.grid.shifts[pick]))
 
 
 @dataclass(frozen=True)
@@ -949,8 +949,6 @@ class _BalanceLp:
     row of the units below it and its negation, and ``shared``, the LP without
     band rows (two rows per covariate, then the cap and mean-window rows)."""
 
-    ctrl: _ControlAtoms
-    cols: np.ndarray
     band_rows: np.ndarray
     shared: LpProblem
 
@@ -962,7 +960,7 @@ def _balance_lp(data, config, bal, cols, ctrl, mean_window) -> _BalanceLp:
     maximize = config.direction == "lower"
 
     c = np.concatenate([y0, np.zeros(n_aux)])
-    if bal.lam > 0 and config.balance_epsilon is None:
+    if bal.lam > 0:
         # penalty always degrades the optimum
         c[n0:] = -bal.lam if maximize else bal.lam
     below = (ctrl.inverse < cols[1:, None]).astype(float)
@@ -994,20 +992,18 @@ def _balance_lp(data, config, bal, cols, ctrl, mean_window) -> _BalanceLp:
         lower=np.zeros(c.size),
         upper=np.concatenate([np.full(n0, min(config.gamma / n0, 1.0)), s_caps]),
     )
-    return _BalanceLp(ctrl, cols, band_rows, shared)
+    return _BalanceLp(band_rows, shared)
 
 
 def _solve_balance_lp(lp: _BalanceLp, lo_row: np.ndarray, hi_row: np.ndarray,
-                      start: np.ndarray):
+                      w0: np.ndarray):
     """The LP of the shift with band ``lo_row``/``hi_row`` (L,), started at
-    the kernel's extreme allocation with cumulatives ``start`` at the
-    breakpoints after the first (the least element filled from the top for
-    the lower bound, the greatest from the bottom for the upper), slacks 0."""
-    n0, shared = lp.ctrl.inverse.size, lp.shared
+    the control weights ``w0`` (the kernel's extreme allocation of the
+    shift), slacks 0."""
+    n0, shared = w0.size, lp.shared
     active = np.stack([hi_row[1:] < 1, lo_row[1:] > 0], axis=1)
-    cum = _bucket_cumulative(lp.cols, start, lp.ctrl.cum_caps, shared.sense == "max")
     x0 = np.zeros(shared.n_vars)
-    x0[:n0] = lp.ctrl.unit_weights(_masses(cum))
+    x0[:n0] = w0
     sol = solve_lp(replace(
         shared, a_ub=np.concatenate([lp.band_rows[active], shared.a_ub]),
         b_ub=np.concatenate([np.stack([hi_row[1:], -lo_row[1:]], axis=1)[active],
@@ -1032,18 +1028,9 @@ def atc_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResu
     inner = _att_bound(data.swap_arms(), model, replace(config, direction=flipped))
     if inner.status != "optimal":
         return _infeasible(config.direction, math.nan, inner.warnings)
-    return BoundResult(
-        estimate=-inner.estimate,
-        direction=config.direction,
-        weight_index=inner.weight_index,
-        weight_values=inner.weight_values,
-        active_shift=inner.active_shift,
-        se=inner.se,
-        status="optimal",
-        treated_mean=inner.counterfactual_mean,
-        counterfactual_mean=inner.treated_mean,
-        warnings=inner.warnings,
-    )
+    return replace(inner, estimate=-inner.estimate, direction=config.direction,
+                   treated_mean=inner.counterfactual_mean,
+                   counterfactual_mean=inner.treated_mean)
 
 
 def _att_bound(data: Dataset, model: str, config: SensitivityConfig) -> BoundResult:
@@ -1169,11 +1156,10 @@ def minimal_achievable_ks(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
     plan = _distributional_plan(data, m, ks_mode)
-    bands = plan.bands
-    p = plan.capped(gamma).cum_caps[bands.cols]
+    ctrl = plan.capped(gamma)
 
     def feasible(delta: float) -> bool:
-        return bool(_breakpoint_extremes(*bands.at(delta), p)[0].any())
+        return bool(_shift_solve(ctrl, plan.bands, *plan.bands.at(delta)).feasible.any())
 
     lo_d, hi_d = 0.0, 1.0
     if feasible(lo_d):

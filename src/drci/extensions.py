@@ -196,5 +196,4 @@ def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
     if pick is None:
         return None
     mu_star = float(values[pick])
-    masses = main.masses_for(pick // n_sh, mu_star, main.ctrl.atoms)
-    return mu_star, main.ctrl.unit_weights(masses)
+    return mu_star, main.weights_for(pick // n_sh, mu_star)

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from drci.cli_io import ColumnMap, Report, RunConfig, load_csv, main, run, sweep
 from drci.distributions import Dataset
 from drci.dro_solvers import (SensitivityConfig, distributional_att_bound,
                                minimal_achievable_ks)
+from drci.extensions import cic_att_bound, did_att_bound
 
 FIXTURE = """y,t
 0,0
@@ -181,6 +182,32 @@ class TestColumnarRead:
         finally:
             writer.join()
         assert data.y.tolist() == [1.5, 2.0] and data.t.tolist() == [0, 1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_row_parser_reads_a_pipe(self, tmp_path):
+        # the columnar read refuses the quotes, and the row parser parses the
+        # bytes already read: the pipe's writer has written once and gone
+        text = 'y,t,name\n1,0,"a"\n2,1,"b"\n3,0,"c"\n'
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        got = []
+        writer = threading.Thread(target=path.write_text, args=(text,))
+        reader = threading.Thread(
+            target=lambda: got.append(_parsed(load_csv, str(path), ColumnMap())), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=10)
+        blocked = reader.is_alive()
+        if blocked:  # a second open waits for a writer: give it an empty one
+            with open(path, "w"):
+                pass
+            reader.join()
+        writer.join()
+        assert not blocked, "load_csv opened the pipe a second time"
+        plain = tmp_path / "d.csv"
+        plain.write_text(text)
+        assert got == [_parsed(load_csv, str(plain), ColumnMap())]
+        assert got[0]["y"] == ("<f8", (3,), np.array([1.0, 2.0, 3.0]).tobytes())
 
     @pytest.mark.parametrize("name", ["d.csv.gz", "d.csv.bz2", "d.csv.xz", "d.csv.lzma",
                                       "http://localhost/d.csv"])
@@ -347,6 +374,46 @@ class TestRun:
         report = run(config)
         expected = np.log([3.0, 4.0]).mean() - np.log([1.0, 2.0]).mean()
         assert report.estimate == pytest.approx(expected)
+
+    @pytest.mark.parametrize("command,bound", [("did", did_att_bound),
+                                               ("cic", cic_att_bound)])
+    def test_log_outcome_with_baseline(self, tmp_path, command, bound):
+        rng = np.random.default_rng(17)
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,y_b\n" + "".join(
+            f"{rng.uniform(-0.4, 5):.4f},{t},{rng.uniform(-0.4, 4):.4f}\n"
+            for t in (0, 1) * 30))
+        knobs = {"gamma": 2.0, "delta": 0.3, "m": 10, "epsilon": 0.2}
+        report = run(RunConfig(command=command, model="distributional", input=str(path),
+                               columns=ColumnMap(baseline="y_b"), log_outcome=True,
+                               log_offset=0.5, emit_weights=True, **knobs))
+        data = load_csv(str(path), ColumnMap(baseline="y_b"))
+        logged = Dataset(y=np.log(data.y + 0.5), t=data.t, y_b=np.log(data.y_b + 0.5))
+        want = bound(logged, SensitivityConfig(**knobs))
+        assert report.status == want.status == "optimal"
+        assert (report.estimate, report.active_shift, report.se) == \
+            (want.estimate, want.active_shift, want.se)
+        assert report.weights == {str(k): v for k, v in want.weights.items()}
+
+    @pytest.mark.parametrize("column,named", [("y", "outcome"), ("y_b", "baseline")])
+    def test_log_outcome_needs_positive_shifted_values(self, tmp_path, capsys, column,
+                                                       named):
+        path = tmp_path / "d.csv"
+        rows = [{"y": 1.0 + i, "t": i % 2, "y_b": 2.0 + i} for i in range(6)]
+        rows[3][column] = -1.0  # -1 + offset 1 is not positive
+        path.write_text("y,t,y_b\n" + "".join(f"{r['y']},{r['t']},{r['y_b']}\n"
+                                              for r in rows))
+        assert main(["did", "--input", str(path), "--log-outcome", "--log-offset", "1"]) == 1
+        assert capsys.readouterr().err == f"error: log transform needs {named} + offset > 0\n"
+
+    def test_sensitivity_knobs_are_run_knobs(self):
+        # RunConfig.sensitivity() reads SensitivityConfig's fields by name
+        run_fields = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(SensitivityConfig):
+            assert f.name in run_fields and run_fields[f.name] == f.default, f.name
+        knobs = {"gamma": 3.0, "delta": 0.2, "epsilon": 0.1, "lambda_tv": 0.4, "m": 7,
+                 "balance_lambda": 0.5, "direction": "upper", "ks_mode": "exact_atoms"}
+        assert RunConfig(command="att", **knobs).sensitivity() == SensitivityConfig(**knobs)
 
     def test_command_model_compatibility(self):
         with pytest.raises(ValueError):
@@ -665,6 +732,18 @@ class TestMain:
             "stratum (t=0, z=0) has fewer than 2 units; "
             "bounds may be overly conservative"
         ]
+
+    def test_both_balance_forms_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "cov.csv"
+        path.write_text("y,t,x1\n" + "".join(
+            f"{i * 0.37 % 2:.3f},{i % 2},{i * 0.61 % 1:.3f}\n" for i in range(20)))
+        code = main(["att", "--input", str(path), "--model", "distributional",
+                     "--gamma", "2", "--delta", "0.3", "--m", "10",
+                     "--balance-lambda", "1", "--balance-epsilon", "0.2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: balance_lambda and balance_epsilon exclude")
+        assert captured.out == ""
 
     def test_config_file_with_flag_override(self, fixture_csv, tmp_path, capsys):
         conf = tmp_path / "cfg.json"

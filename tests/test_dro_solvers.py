@@ -432,7 +432,7 @@ class TestBucketKernel:
 
 
 class TestOneRowExtreme:
-    """``_ShiftSolve.masses_for`` reads both weighted-mean range ends at the
+    """``_ShiftSolve.weights_for`` reads both weighted-mean range ends at the
     picked shift only: the same row reduction, so the same value as the
     full grid's entry."""
 
@@ -669,6 +669,19 @@ class TestBalance:
             with pytest.raises(ValueError, match=f"^{named} .* the {model} model"):
                 solve(data, model, cfg)
 
+    @pytest.mark.parametrize("route", ["att", "atc", "did", "cic"])
+    def test_both_balance_forms_refused(self, route):
+        # the cap would drop the penalty from the objective without a word
+        data = _balance_sample(33, n=60, n1=25)
+        solve = {"att": distributional_att_bound, "did": did_att_bound, "cic": cic_att_bound,
+                 "atc": lambda d, c: atc_bound(d, "distributional", c)}[route]
+        cfg = SensitivityConfig(gamma=2.0, delta=0.3, m=10, epsilon=0.5,
+                                balance_lambda=50.0, balance_epsilon=0.2)
+        with pytest.raises(ValueError, match="^balance_lambda and balance_epsilon exclude"):
+            solve(data, cfg)
+        for form in ({"balance_epsilon": None}, {"balance_lambda": 0.0}):
+            assert solve(data, replace(cfg, **form)).status in ("optimal", "infeasible")
+
 
 def _balance_sample(seed, n=200, n1=80):
     """Three covariates that confound treatment, and baseline outcomes."""
@@ -691,7 +704,7 @@ def _every_shift_route(data, cfg, window):
     lo, hi = bands.at(cfg.delta)
     lp = ds._balance_lp(data, cfg, balance_terms(data, cfg.balance_lambda), bands.cols,
                         ctrl, window)
-    start = _start_cumulatives(ctrl, bands.cols, lo, hi, cfg.direction)
+    start = _start_weights(ctrl, bands, lo, hi, cfg.direction)
     best, solved = None, {}
     for j, c in enumerate(grid.shifts):
         if lo[j, 0] > 1e-9 or hi[j, -1] < 1 - 1e-9 or lo[j, -1] > 1 + 1e-9:
@@ -707,10 +720,10 @@ def _every_shift_route(data, cfg, window):
     return (None if best is None else best[1:]), solved
 
 
-def _start_cumulatives(ctrl, cols, lo, hi, direction):
-    """Each shift's start for its LP: one row of the kernel scan."""
-    _, c_least, c_great = ds._breakpoint_extremes(lo, hi, ctrl.cum_caps[cols])
-    return c_least if direction == "lower" else c_great
+def _start_weights(ctrl, bands, lo, hi, direction):
+    """Each shift's start for its LP: its extreme weights in one kernel solve."""
+    start = ds._shift_solve(ctrl, bands, lo, hi)
+    return [start.extreme_weights(j, direction == "lower") for j in range(lo.shape[0])]
 
 
 def _widened_screen(data, cfg, window):
@@ -820,7 +833,7 @@ class TestBalanceRouteWork:
         lo, hi = plan.bands.at(cfg.delta)
         bal = balance_terms(data, cfg.balance_lambda)
         lp = ds._balance_lp(data, cfg, bal, cols, ctrl, None)
-        start = _start_cumulatives(ctrl, cols, lo, hi, cfg.direction)
+        start = _start_weights(ctrl, plan.bands, lo, hi, cfg.direction)
         trimmed = 0
         for j in range(lo.shape[0]):
             ds._solve_balance_lp(lp, lo[j], hi[j], start[j])

@@ -202,6 +202,18 @@ class TestRunMonteCarlo:
             assert row.bias == float(values.mean() - true_att(s))
             assert row.sd == float(values.std(ddof=1))
 
+    def test_no_two_arm_draw_gives_empty_cells(self):
+        # the only draw leaves an arm empty: no block is solved, and every
+        # cell reports no replication
+        s = Scenario(2, 3, 0.5)
+        with pytest.raises(ValueError, match="arms must be nonempty"):
+            generate_scenario(s, 2, (5, 0))
+        table = run_monte_carlo(s, n=2, reps=1, models=("marginal", "distributional"),
+                                gammas=(2.0,), delta=0.1, seed=5)
+        rows = table.to_csv().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["marginal", "distributional"]
+        assert all(row.endswith(",nan,nan,0") for row in rows)
+
     def test_block_memory_stays_small(self):
         kwargs = {"s": Scenario(2, 3, 0.5), "n": 100, "models": ("distributional", "marginal"),
                   "gammas": (2.0, 3.0, 5.0), "delta": 0.1, "seed": 0}
