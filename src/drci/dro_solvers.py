@@ -758,7 +758,8 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
     :func:`~drci.distributions._grid_bands` call, which counts the atoms and
     reads the treated CDF with one :meth:`_SortedRows.searchsorted` per arm.
     Exact-KS and degenerate rows run :func:`~drci.distributions._bands` row
-    by row.
+    by row, on the sample's own :func:`~drci.distributions.ecdf` and
+    :func:`~drci.distributions.shift_grid`.
     """
     ys = [np.asarray(y, dtype=float) for y, _ in draws]
     arms = [np.asarray(t) == 1 for _, t in draws]
@@ -794,10 +795,7 @@ def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
                                               k1[g])]):
             parts.setdefault(bands.cols.shape[1], []).append((rows[members], bands))
     for i in np.flatnonzero(~on_grid):
-        grid = ShiftGrid(c0=-span[i], epsilon=span[i] / m, m=m, anchor=lo[i],
-                         shifts=shifts[i, :n_shifts[i]])
-        target = WeightedEcdf(t_atoms[i, :k1[i]], masses[i, :k1[i]])
-        bands = _bands(atoms[i, :k0[i]], target, grid, ks_mode)
+        bands = _bands(atoms[i, :k0[i]], ecdf(ys[i][arms[i]]), shift_grid(ys[i], m), ks_mode)
         parts.setdefault(k0[i] + 1, []).append(
             (np.array([i]), replace(bands, cols=bands.cols[None])))
 

@@ -22,8 +22,14 @@ row whose residual at that point is nonnegative starts with its own slack
 basic.  Only the remaining rows, the equalities and the violated
 inequalities, get an artificial variable (the row negated when its residual
 is negative), so the start basis is the identity.  Phase 1 minimizes the sum
-of those artificials and phase 2 the real objective.  The hint changes where
-the simplex starts, not which LP is solved.
+of those artificials and phase 2 the real objective, from phase 1's final
+basis as it stands: every row keeps its place in the basis through both
+phases.  The artificials stay as fixed columns (range 0, cost 0), and a
+fixed column, artificial or structural, is never priced, so it never
+enters.  An artificial still basic at zero after phase 1 leaves at the
+first ratio test it blocks, or stays basic on a redundant row.  An LP with
+no rows runs the same loop.  The hint changes where the simplex starts, not
+which LP is solved.
 """
 
 from __future__ import annotations
@@ -123,7 +129,8 @@ class LpSolution:
     then one per ``a_eq`` row: the rate at which the optimal objective moves
     per unit increase of the row's right-hand side.  So an inequality row's
     dual is <= 0 for ``min`` and >= 0 for ``max``, ``c - duals @ A`` are the
-    reduced costs, and a row dropped as redundant gets 0."""
+    reduced costs, and a row whose artificial is still basic at the optimum
+    (a redundant row, say) gets 0."""
 
     status: str
     x: np.ndarray | None = None
@@ -192,8 +199,10 @@ class _Simplex:
         number of iterations is left in ``pivots``."""
         a, upper, xb, basis, at_upper = self.a, self.upper, self.xb, self.basis, self.at_upper
         # objective decrease per unit move of each nonbasic column away from
-        # its bound is sign * d: +1 at the upper bound, -1 at 0, 0 if basic
+        # its bound is sign * d: +1 at the upper bound, -1 at 0, 0 if basic or
+        # fixed (zero range), so a fixed column never enters
         sign = np.where(at_upper, 1.0, -1.0)
+        sign[upper == 0] = 0.0
         sign[basis] = 0.0
         cost_basic = cost[basis]
         ub_basic = upper[basis]
@@ -219,7 +228,7 @@ class _Simplex:
             np.divide(xb, -rate, out=limits, where=rate < -_PIVOT_TOL)
             np.divide(ub_basic - xb, rate, out=limits, where=rate > _PIVOT_TOL)
             own = float(upper[j])  # range between the variable's two bounds
-            row_min = float(limits.min())
+            row_min = float(limits.min(initial=np.inf))
             t_star = min(row_min, own)
             if t_star == np.inf:
                 return "unbounded"
@@ -235,7 +244,8 @@ class _Simplex:
             leaving = basis[r]
             # leaving variable exits at whichever of its bounds blocked
             at_upper[leaving] = rate[r] > _PIVOT_TOL
-            sign[leaving] = 1.0 if at_upper[leaving] else -1.0
+            if upper[leaving] > 0:  # a fixed column stays priced out
+                sign[leaving] = 1.0 if at_upper[leaving] else -1.0
             xb[r] = t_star if increasing else own - t_star
             at_upper[j] = False
             sign[j] = 0.0
@@ -287,13 +297,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     m, n_cols = mat.shape
     n_ub = problem.a_ub.shape[0]
 
-    # bound-only problem: each variable independently at its cheaper bound
-    if m == 0:
-        down = cost < 0
-        if np.any(down & ~np.isfinite(ubs)):
-            return LpSolution(status="unbounded")
-        return _finish(problem, recover, np.where(down, ubs, 0.0), np.zeros(0))
-
     # slack crash: residual of each row with the columns at their start bounds
     resid = b - mat[:, at_upper] @ ubs[at_upper]
     slack_basic = np.zeros(m, dtype=bool)
@@ -312,43 +315,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     sx = _Simplex(np.hstack([mat, art]), np.abs(resid),
                   np.concatenate([ubs, np.full(n_art, np.inf)]), basis,
                   np.concatenate([at_upper, np.zeros(n_art, dtype=bool)]))
+    max_iter = 20000 + 50 * (m + n_cols)
     phase1_cost = np.concatenate([np.zeros(n_cols), np.ones(n_art)])
-    status = sx.run(phase1_cost, max_iter=20000 + 50 * (m + n_cols))
+    status = sx.run(phase1_cost, max_iter)
     phase1 = sx.pivots
     if status != "optimal" or float(phase1_cost[sx.basis] @ sx.xb) > 1e-8:
         return LpSolution(status="infeasible", phase1_pivots=phase1)
 
-    # drive the artificials out of the basis: each swaps with the first
-    # structural column it can pivot on, which keeps its nonbasic value, so
-    # no value moves.  An artificial with none marks its own row redundant.
-    redundant = []
-    for r in np.flatnonzero(sx.basis >= n_cols):
-        cand = np.flatnonzero(np.abs(sx.binv[r] @ mat) > 1e-9)
-        if not cand.size:
-            redundant.append(r)
-            continue
-        j = int(cand[0])
-        sx.xb[r] = ubs[j] if sx.at_upper[j] else 0.0
-        sx.at_upper[j] = False
-        sx.pivot(r, j, sx.binv @ sx.a[:, j])
-    keep_rows = np.ones(m, dtype=bool)
-    sx.a, sx.upper, sx.at_upper = mat, ubs, sx.at_upper[:n_cols]
-    if redundant:
-        keep_rows[art_rows[sx.basis[redundant] - n_cols]] = False
-        keep = np.ones(m, dtype=bool)
-        keep[redundant] = False
-        sx.a, sx.basis, sx.xb = mat[keep_rows], sx.basis[keep], sx.xb[keep]
-        sx.refactor()
-
-    status = sx.run(cost, max_iter=20000 + 50 * (keep_rows.sum() + n_cols))
+    # phase 2 starts from phase 1's basis.  The artificials stay as fixed
+    # columns in [0, 0] at cost 0: one still basic is set to 0 and leaves at
+    # the first ratio test it blocks, and one nonbasic never enters again.
+    sx.upper[n_cols:] = 0.0
+    sx.xb[sx.basis >= n_cols] = 0.0
+    cost = np.concatenate([cost, np.zeros(n_art)])
+    status = sx.run(cost, max_iter)
     counts = {"phase1_pivots": phase1, "phase2_pivots": sx.pivots}
     if status == "unbounded":
         return LpSolution(status="unbounded", **counts)
-    sx.resolve_basics(b[keep_rows])
+    sx.resolve_basics(b)
     # row duals of the normalized LP, B^T y = c_B, mapped back through the
-    # negated rows and the sense
-    y = np.zeros(m)
-    y[keep_rows] = np.linalg.solve(sx.a[:, sx.basis].T, cost[sx.basis])
+    # negated rows and the sense; a row whose artificial is still basic gets 0
+    y = np.linalg.solve(sx.a[:, sx.basis].T, cost[sx.basis])
     duals = np.where(neg, -y, y) * (1.0 if problem.sense == "min" else -1.0)
     return _finish(problem, recover, sx.solution(), duals, **counts)
 

@@ -158,8 +158,8 @@ class TestAgainstVertexOracle:
         assert checked > 100
 
     def test_redundant_row_gets_zero_dual(self):
-        # the second equality is twice the first, so its artificial finds no
-        # column to leave onto: the row is dropped after phase 1 and its
+        # the second equality is twice the first, so its artificial is never
+        # blocked and stays basic at zero through phase 2: the row's
         # multiplier is 0.  x0 = 1 is basic, so the first row prices it at 1.
         prob = LpProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
                          lower=[0.0, 0.0], upper=[2.0, 2.0])
@@ -200,6 +200,66 @@ class TestBoundKinds:
                 assert np.all((lower - 1e-9 <= sol.x) & (sol.x <= upper + 1e-9))
             statuses.append(sol.status)
         assert statuses.count("optimal") > 10 and statuses.count("unbounded") > 10
+
+
+def _redundant_problem(rng, inconsistent):
+    """A boxed LP (some lower bounds infinite) whose equality rows hold one
+    or two random rows plus a duplicate, a doubled copy and an all-zero row
+    of one of them, shuffled; ``inconsistent`` moves the duplicate's rhs."""
+    n = int(rng.integers(2, 7))
+    upper = rng.uniform(-1, 2, n).round(2)
+    lower = np.where(rng.uniform(size=n) < 0.3, -np.inf,
+                     upper - rng.uniform(0.5, 3, n).round(2))
+    inside = upper - rng.uniform(0, 0.5, n)
+    a_eq = rng.normal(size=(int(rng.integers(1, 3)), n)).round(2)
+    b_eq = a_eq @ inside
+    k = int(rng.integers(a_eq.shape[0]))
+    a_eq = np.vstack([a_eq, a_eq[k], 2 * a_eq[k], np.zeros(n)])
+    b_eq = np.concatenate([b_eq, [b_eq[k] + (1.0 if inconsistent else 0.0),
+                                  2 * b_eq[k], 0.0]])
+    perm = rng.permutation(b_eq.size)
+    a_ub = rng.normal(size=(2, n)).round(2)
+    b_ub = (a_ub @ inside + rng.uniform(0, 1, 2)).round(2)
+    return LpProblem(c=rng.normal(size=n).round(2), a_ub=a_ub, b_ub=b_ub,
+                     a_eq=a_eq[perm], b_eq=b_eq[perm], lower=lower, upper=upper)
+
+
+class TestRedundantRows:
+    """Equality rows that repeat, scale or vanish: each such row keeps its
+    artificial basic at zero after phase 1, as a fixed column."""
+
+    def test_redundant_equalities_match_highs(self):
+        rng = np.random.default_rng(19)
+        statuses = []
+        for i in range(60):
+            base = _redundant_problem(rng, inconsistent=i % 5 == 4)
+            sense = ("min", "max")[i % 2]
+            x0 = base.upper - rng.uniform(0, 1, base.n_vars) if i % 4 >= 2 else None
+            prob = replace(base, sense=sense, x0=x0)
+            sol = solve_lp(prob)
+            status, val, _ = highs_solve(
+                prob.c, prob.a_ub, prob.b_ub, prob.a_eq, prob.b_eq,
+                prob.lower, prob.upper, sense=sense,
+            )
+            assert sol.status == status
+            statuses.append(status)
+            if status != "optimal":
+                continue
+            tol = 1e-8 * (1.0 + abs(val))
+            assert abs(sol.objective_value - val) <= tol
+            # the duals certify the optimum (as min): inequality duals <= 0,
+            # reduced costs feasible against the bounds, and a zero gap
+            flip = 1.0 if sense == "min" else -1.0
+            y, c = flip * sol.duals, flip * prob.c
+            assert np.all(y[:prob.a_ub.shape[0]] <= 1e-9)
+            d = c - y @ np.vstack([prob.a_ub, prob.a_eq])
+            assert np.all(d[sol.x > prob.lower + 1e-9] <= 1e-9)
+            assert np.all(d[sol.x < prob.upper - 1e-9] >= -1e-9)
+            priced = np.abs(d) > 1e-9  # each at its finite bound, by the checks above
+            bound = np.where(d > 0, prob.lower, prob.upper)[priced]
+            dual = np.concatenate([prob.b_ub, prob.b_eq]) @ y + bound @ d[priced]
+            assert abs(flip * sol.objective_value - dual) <= tol
+        assert statuses.count("optimal") > 30 and statuses.count("infeasible") >= 12
 
 
 def _hints(prob, rng):
@@ -401,7 +461,8 @@ def _balance_sample(seed, instance):
 
 
 class TestPhaseOneExit:
-    """After phase 1 an artificial still basic at zero is pivoted out; the
+    """After phase 1 an artificial still basic at zero stays in the basis as
+    a fixed column and leaves at the first ratio test it blocks; the
     entering column must keep its nonbasic value, also at its upper bound."""
 
     def test_artificial_leaves_onto_at_upper_column(self):
@@ -437,6 +498,26 @@ class TestPhaseOneExit:
         assert problems
         for prob in problems:
             assert _assert_matches_highs(prob).status == "optimal"
+
+
+class TestFixedColumns:
+    def test_fixed_column_never_enters(self):
+        # x2 in [1, 1] is a fixed column of cost -100: folded into the rhs,
+        # the LP is solved with the same pivots, since a column with zero
+        # range is never priced
+        full = solve_lp(LpProblem(
+            c=[-1.0, -1.0, -100.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[3.0],
+            a_eq=[[1.0, -1.0, 0.0]], b_eq=[0.0],
+            lower=[0.0, 0.0, 1.0], upper=[2.0, 2.0, 1.0]))
+        folded = solve_lp(LpProblem(
+            c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[2.0],
+            a_eq=[[1.0, -1.0]], b_eq=[0.0], lower=[0.0, 0.0], upper=[2.0, 2.0]))
+        assert full.status == folded.status == "optimal"
+        assert full.x[:2].tolist() == folded.x.tolist()
+        assert full.x[2] == 1.0
+        assert full.objective_value == folded.objective_value - 100.0
+        assert (full.phase1_pivots, full.phase2_pivots) == (
+            folded.phase1_pivots, folded.phase2_pivots)
 
 
 class TestEarningsScale:
