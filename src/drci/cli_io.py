@@ -467,8 +467,8 @@ def sweep(config: RunConfig, gamma_list, delta_list, data: Dataset | None = None
     """CSV table over the gamma x delta grid, both directions per cell.
 
     The distributional model without balance terms solves the whole grid
-    from one solve plan, one shift solve per cell for both directions; the
-    other models solve each bound on its own.
+    from one solve plan, one scan per cell for both directions; the other
+    models solve each bound on its own.
     """
     if not gamma_list or not delta_list:
         raise ValueError("sweep needs nonempty gamma and delta grids")

@@ -252,11 +252,11 @@ def _count_masses(counts: np.ndarray, n) -> np.ndarray:
     unit (a cumulative sum, as :func:`numpy.add.at` adds), over the pairwise
     sum of the n weights."""
     n = np.asarray(n)
-    added = np.cumsum(np.broadcast_to((1.0 / n)[..., None], n.shape + (int(n.max()),)),
-                      axis=-1)
+    added = np.zeros(n.shape + (int(n.max()) + 1,))  # added[..., c]: c units' weight
+    np.cumsum(np.full(n.shape + (int(n.max()),), (1.0 / n)[..., None]), axis=-1,
+              out=added[..., 1:])
     total = np.array([np.full(k, 1.0 / k).sum() for k in n.ravel().tolist()])
-    masses = np.take_along_axis(added, np.maximum(counts - 1, 0), axis=-1)
-    return np.where(counts > 0, masses, 0.0) / total.reshape(n.shape + (1,))
+    return np.take_along_axis(added, counts, axis=-1) / total.reshape(n.shape + (1,))
 
 
 def ks(f: WeightedEcdf, g: WeightedEcdf) -> float:

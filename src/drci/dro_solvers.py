@@ -30,18 +30,23 @@ to the K atoms.  A grid-mode solve thus costs O(K log K + m L) time and
 memory, not O(m K).
 
 A solve is split into a plan and an evaluation.  The plan
-(:class:`_SolvePlan`, built by :func:`_control_bands`) depends on neither
-``gamma`` nor ``delta``: it holds the shift grid, the distinct control atoms
-with their counts, and the KS bands.  An evaluation caps the atoms at one
-``gamma`` (:meth:`_SolvePlan.capped`) and runs one :func:`_shift_solve` at
-one ``delta``, which serves both directions.  Every distributional route
-here and in :mod:`drci.extensions` takes this path; a (gamma, delta) sweep
-evaluates one plan per cell.  The Monte Carlo bias table builds the plans of
-a block of replicates as padded rows (:func:`_block_plan`) from the same
-row-wise grid, tie-order and band builders of :mod:`drci.distributions`,
-caps them with the same :func:`_cumulative_caps`, stacks the block's scans
-(:func:`_distributional_lower_block`) and picks by the same
-:func:`~drci.distributions._pick`, for the lower bound's value only.
+(:class:`_BlockPlan`, built by :func:`_block_plan`) depends on neither
+``gamma`` nor ``delta``: per sample, one per row, it holds the distinct
+control atoms with their counts, the shift grid with its tie order, and the
+KS bands, from the row-wise grid, tie-order and band builders of
+:mod:`drci.distributions`.  A single sample is a block of one row.  An
+evaluation caps the atoms at one or more ``gamma``
+(:meth:`_BlockPlan.capped`) and runs one breakpoint scan
+(:func:`_shift_solve`) at one ``delta``, each band row under its own
+sample's capacities; :func:`_scan` then picks, per (sample, gamma,
+direction), the best feasible shift by :func:`~drci.distributions._pick`,
+within an optional mean window per sample.  Every distributional route here
+and in :mod:`drci.extensions` takes this path: a single bound is the scan of
+a block of one row, followed by :meth:`_ShiftSolve.weights_for` at the
+picked row only; a (gamma, delta) sweep scans one plan per cell in both
+directions; the Monte Carlo bias table scans a block of replicates for the
+lower bound's value; ``minimal_achievable_ks``, the IV arms and the balance
+route read the scan of every shift of their rows.
 
 Runs with covariate-balance terms fall back to the bounded-variable simplex,
 one LP per shift with band rows at the breakpoints; the rest of the LP is
@@ -62,8 +67,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import (Dataset, ShiftGrid, WeightedEcdf, _bands, _Bands, _count_masses,
-                            _grid_bands, _grid_shifts, _pick, _shift_rank, ecdf, shift_grid)
+from .distributions import (Dataset, _bands, _Bands, _count_masses, _grid_bands, _grid_shifts,
+                            _pick, _shift_rank, ecdf, shift_grid)
 from .lp_core import LpProblem, solve_lp
 
 __all__ = [
@@ -214,59 +219,251 @@ def _infeasible(direction: str, treated_mean: float, warnings=()) -> BoundResult
 
 
 # ---------------------------------------------------------------------------
-# control-atom bookkeeping
+# solve plans: a block of samples, one per row
 
 
 @dataclass(frozen=True)
-class _ControlAtoms:
-    """Distinct control outcome values with per-atom capacities.
+class _SortedRows:
+    """Rows (B, W) of ascending values, searched row by row, exactly.
 
-    Column ``j`` (0..K) stands for the cumulative weight on the ``j`` lowest
-    atoms; ``cum_caps[j]`` and ``cum_moments[j]`` are the capacity of those
-    atoms and its outcome-weighted sum.  Outcomes enter the moments relative
-    to the lowest atom, so their rounding scales with the outcome range, not
-    with the outcome level.
+    A search in one row reads that row's values as they are.  For more,
+    NumPy orders complex numbers by their real part, then their imaginary
+    part.  So with each value's row as the real part and the value itself as
+    the imaginary part, the flattened rows ascend, and one
+    :func:`numpy.searchsorted` searches every row at once, comparing the
+    values themselves (a float offset per row would round them).
     """
 
-    atoms: np.ndarray        # (K,) ascending
-    counts: np.ndarray       # units per atom
-    inverse: np.ndarray      # atom index per control unit
-    cum_caps: np.ndarray     # (K+1,) [0, cumsum(caps)], caps = count * gamma / n0
-    cum_moments: np.ndarray  # (K+1,) [0, cumsum(caps * (atoms - atoms[0]))]
+    values: np.ndarray
 
-    def unit_weights(self, masses: np.ndarray) -> np.ndarray:
-        """Split per-atom masses equally among the atom's units."""
-        return (masses / self.counts)[self.inverse]
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return _row_keys(np.arange(self.values.shape[0])[:, None], self.values).ravel()
+
+    def searchsorted(self, x: np.ndarray, rows: np.ndarray | None,
+                     side: str = "left") -> np.ndarray:
+        """The flat position ``r * W + np.searchsorted(values[r], v, side)``
+        of each ``v`` of ``x`` with its row ``r`` of ``rows`` (broadcast
+        against ``x``; None for row 0)."""
+        if rows is None or rows.size == 1:
+            r = 0 if rows is None else int(rows.flat[0])
+            return np.searchsorted(self.values[r], x, side) + r * self.values.shape[1]
+        return np.searchsorted(self.keys, _row_keys(rows, x), side)
+
+
+def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The complex keys ``rows + 1j * values``, built without arithmetic."""
+    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
+    keys.real, keys.imag = rows, values
+    return keys
 
 
 @dataclass(frozen=True)
-class _SolvePlan:
-    """The part of a distributional solve that depends on neither ``gamma``
-    nor ``delta``: the shift grid, the distinct control atoms (``atoms``,
-    ``counts``, ``inverse`` as :func:`numpy.unique` returns them) and the KS
-    bands of every shift at their breakpoint columns."""
+class _BlockCaps:
+    """The control atoms of a block of B samples capped at each of
+    ``gammas``: row ``j * B + i`` is sample i at ``gammas[j]``.
 
-    grid: ShiftGrid
+    Column ``c`` of a row stands for the cumulative weight on the ``c``
+    lowest atoms; ``cum_caps`` and ``cum_moments`` hold the capacity
+    (``gamma / n0`` per unit) of those atoms and its outcome-weighted sum.
+    Outcomes enter the moments relative to the row's lowest atom, so their
+    rounding scales with the outcome range, not with the outcome level.  A
+    row has ``width`` = K + 1 columns, K the most atoms of a sample; a
+    sample with fewer is padded with zero capacity (and its last atom), so
+    its cumulative rows stay level there.  The rows are kept flat, so column
+    ``c`` of row ``r`` sits at ``r * width + c`` of ``atoms``, ``cum_caps``
+    and ``cum_moments``.
+    """
+
+    gammas: np.ndarray
+    width: int
+    atoms: np.ndarray
+    cum_caps: np.ndarray
+    cum_moments: np.ndarray
+    sorted_caps: _SortedRows
+
+
+@dataclass(frozen=True)
+class _BandGroup:
+    """The KS bands of the samples of a block whose bands share a width L.
+
+    ``bands.cols`` (M, L) holds one row of breakpoint columns per sample
+    ``samples[i]``, and row r of ``bands.top``/``bands.bottom`` is shift
+    ``shift[r]`` of sample ``samples[member[r]]``; the rows come sample by
+    sample, in the order of ``samples``.
+    """
+
+    samples: np.ndarray
+    member: np.ndarray
+    shift: np.ndarray
+    bands: _Bands
+
+
+@dataclass(frozen=True)
+class _BlockPlan:
+    """The part of a distributional solve that depends on neither ``gamma``
+    nor ``delta``, for a block of samples, one per row; a single sample is a
+    block of one row.
+
+    Row i is sample i: its K distinct control outcomes ``atoms[i, :K]``
+    (then the last repeated) with their ``counts`` (then 0), each control
+    unit's atom ``inverse[i, :n0[i]]`` (as :func:`numpy.unique` gives them),
+    its S grid shifts ``shifts[i, :S]`` (S = ``n_shifts[i]``: 1 for a
+    degenerate grid, else 2m+1) with their :attr:`ShiftGrid.rank`
+    ``rank[i, :S]``, and its treated mean.  ``groups`` holds the KS bands of
+    every shift at their breakpoint columns, by width.
+    """
+
     atoms: np.ndarray
     counts: np.ndarray
     inverse: np.ndarray
-    bands: _Bands
+    n0: np.ndarray
+    treated_mean: np.ndarray
+    shifts: np.ndarray
+    rank: np.ndarray
+    n_shifts: np.ndarray
+    groups: tuple[_BandGroup, ...]
 
-    def capped(self, gamma: float) -> _ControlAtoms:
-        """The atoms with capacity ``gamma`` / n0 per unit."""
+    def capped(self, gammas) -> _BlockCaps:
+        """The atoms with capacity gamma / n0 per unit at each of ``gammas``."""
+        gammas = np.asarray(gammas, dtype=float)
+        k = self.counts.shape[1]
         # caps from gamma itself: rescaling a gamma = 1 cumsum rounds differently
-        return _ControlAtoms(self.atoms, self.counts, self.inverse, *_cumulative_caps(
-            self.atoms, self.counts * (gamma / self.inverse.size)))
+        caps = self.counts * (gammas[:, None] / self.n0)[..., None]
+        atoms = np.tile(np.concatenate([self.atoms, self.atoms[:, -1:]], axis=1),
+                        (gammas.size, 1))
+        cum_caps = np.zeros((caps.size // k, k + 1))
+        cum_moments = np.zeros_like(cum_caps)
+        np.cumsum(caps.reshape(-1, k), axis=1, out=cum_caps[:, 1:])
+        np.cumsum((caps * (self.atoms - self.atoms[:, :1])).reshape(-1, k), axis=1,
+                  out=cum_moments[:, 1:])
+        return _BlockCaps(gammas, k + 1, atoms.ravel(), cum_caps.ravel(),
+                          cum_moments.ravel(), _SortedRows(cum_caps))
+
+    def unit_weights(self, i: int, masses: np.ndarray) -> np.ndarray:
+        """Sample i's per-atom ``masses`` split equally among the atom's units."""
+        return (masses / self.counts[i, :masses.size])[self.inverse[i, :self.n0[i]]]
 
 
-def _cumulative_caps(atoms: np.ndarray, caps: np.ndarray):
-    """``cum_caps`` and ``cum_moments`` of :class:`_ControlAtoms` for the
-    ``atoms`` with capacities ``caps``, along the last axis."""
-    cum_caps = np.zeros(caps.shape[:-1] + (caps.shape[-1] + 1,))
-    cum_moments = np.zeros_like(cum_caps)
-    np.cumsum(caps, axis=-1, out=cum_caps[..., 1:])
-    np.cumsum(caps * (atoms - atoms[..., :1]), axis=-1, out=cum_moments[..., 1:])
-    return cum_caps, cum_moments
+def _row_atoms(arrays, inverse: bool = False):
+    """:func:`numpy.unique` of each of the nonempty finite ``arrays``, as
+    rows: the atoms and their counts, padded on the right (as in
+    :class:`_BlockPlan`), the number of atoms per row and, with ``inverse``,
+    each value's atom in its row (B, N), padded on the right.  The arrays
+    are sorted as the rows of one array padded with inf."""
+    sizes = np.array([a.size for a in arrays])
+    n_rows, width = sizes.size, max(a.size for a in arrays)
+    v = _pad_rows(np.concatenate(arrays), sizes, np.inf)
+    if inverse:
+        order = np.argsort(v, axis=1) + np.arange(0, v.size, width)[:, None]  # flat
+        v = v.ravel()[order]
+    else:
+        v.sort(axis=1)
+    new = np.ones(v.shape, dtype=bool)
+    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+    short = np.flatnonzero(sizes < width)
+    new[short, sizes[short]] = False  # the padding starts no atom
+    starts = np.flatnonzero(new)  # flat, row after row
+    k = new.sum(axis=1)
+    ends = np.concatenate((starts[1:], [v.size]))
+    if short.size:  # each row's last atom ends at its size
+        ends[np.cumsum(k) - 1] = np.arange(0, v.size, width) + sizes
+    atoms, counts = _pad_rows(v.ravel()[starts], k), _pad_rows(ends - starts, k, 0)
+    if not inverse:
+        return atoms, counts, k
+    inverse = np.empty(v.shape, dtype=np.intp)
+    inverse.ravel()[order] = np.cumsum(new, axis=1) - 1
+    return atoms, counts, k, inverse
+
+
+def _pad_rows(flat: np.ndarray, k: np.ndarray, fill=None) -> np.ndarray:
+    """The runs of ``flat``, ``k[i]`` entries for row i, as the rows of one
+    array padded on the right with ``fill``, or with each run's last entry."""
+    if k.size == 1:
+        return flat[None]
+    fill = flat[np.cumsum(k) - 1, None] if fill is None else fill
+    rows = np.full((k.size, k.max()), fill, dtype=flat.dtype)
+    rows[np.arange(k.max()) < k[:, None]] = flat
+    return rows
+
+
+def _block_plan(rows, m: int, ks_mode: str) -> _BlockPlan:
+    """The solve plan of every row ``(control outcomes, treated outcomes,
+    lo, hi)`` of ``rows``: the controls (nonempty) against the ECDF of the
+    treated outcomes (nonempty), on the shift grid of resolution ``m`` over
+    values from ``lo`` to ``hi`` (the row's least and greatest, which
+    :func:`~drci.distributions.shift_grid` takes of its values).  Row-wise
+    sorts give the distinct atoms of both arms, the treated ECDF masses come
+    from :func:`~drci.distributions.ecdf`'s own rule
+    (:func:`~drci.distributions._count_masses`), and each row's shift grid
+    and tie order come from the row-wise helpers of
+    :func:`~drci.distributions.shift_grid`.
+
+    In grid mode the bands of all non-degenerate rows come from one
+    :func:`~drci.distributions._grid_bands` call, which counts the atoms and
+    reads the treated CDF with one :meth:`_SortedRows.searchsorted` per arm.
+    Exact-KS and degenerate rows run :func:`~drci.distributions._bands` row
+    by row, on the sample's own :func:`~drci.distributions.ecdf` and
+    :func:`~drci.distributions.shift_grid`.
+    """
+    controls, treated, lo, hi = zip(*rows)
+    n_rows = len(controls)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    span = hi - lo
+    shifts = _grid_shifts(span, m)  # an all-zero row where span == 0
+    n_shifts = np.where(span == 0, 1, shifts.shape[1])
+
+    atoms, counts, k0, inverse = _row_atoms(controls, inverse=True)
+    t_atoms, t_counts, k1 = _row_atoms(treated)
+    masses = _count_masses(t_counts, np.array([t.size for t in treated]))  # ecdf's masses
+    t_cdf = np.zeros((n_rows, masses.shape[1] + 1))  # [0, WeightedEcdf.cum]
+    t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
+    t_cdf[np.arange(n_rows), k1] = 1.0
+
+    parts: dict[int, list] = {}  # width -> [(samples, bands)]
+    on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
+    grid_rows = np.flatnonzero(on_grid)
+    if grid_rows.size:
+        g = grid_rows[:, None]
+        c_keys, t_keys = _SortedRows(atoms), _SortedRows(t_atoms)
+
+        def upto(keys, x):  # each point's number of row values up to it
+            return keys.searchsorted(x, g, side="right") - keys.values.shape[1] * g
+
+        # searches past a row's last atom also count its padding
+        for members, bands in _grid_bands(
+                lo[grid_rows], span[grid_rows], m,
+                lambda x: np.minimum(upto(c_keys, x), k0[g]),
+                lambda x: t_cdf[g, np.minimum(upto(t_keys, x), k1[g])]):
+            parts.setdefault(bands.cols.shape[1], []).append((grid_rows[members], bands))
+    for i in np.flatnonzero(~on_grid):
+        bands = _bands(atoms[i, :k0[i]], ecdf(treated[i]),
+                       shift_grid((lo[i], hi[i]), m), ks_mode)
+        parts.setdefault(k0[i] + 1, []).append(
+            (np.array([i]), replace(bands, cols=bands.cols[None])))
+
+    groups = []
+    for same in parts.values():
+        samples = np.concatenate([s for s, _ in same])
+        size = n_shifts[samples]
+        groups.append(_BandGroup(
+            samples, np.repeat(np.arange(samples.size), size),
+            np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size),
+            same[0][1] if len(same) == 1 else
+            _Bands(*(np.concatenate([getattr(b, name) for _, b in same])
+                     for name in ("cols", "top", "bottom")))))
+    return _BlockPlan(
+        atoms=atoms, counts=counts, inverse=inverse,
+        n0=np.array([c.size for c in controls]),
+        treated_mean=np.array([t.mean() for t in treated]),
+        shifts=shifts, rank=_shift_rank(shifts), n_shifts=n_shifts, groups=tuple(groups))
+
+
+def _att_plan(data: Dataset, m: int, ks_mode: str) -> _BlockPlan:
+    """The one-row plan of the ATT models: the controls against the treated
+    ECDF on the grid of resolution ``m`` over all outcomes."""
+    return _block_plan([(data.control_y, data.treated_y, data.y.min(), data.y.max())],
+                       m, ks_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -320,41 +517,50 @@ def _pinned_ok(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             & (lo[:, -1] <= 1 + _TOL) & (hi[:, -1] >= 1 - _TOL))
 
 
-def _bucket_means(ctrl, cols: np.ndarray, cum: np.ndarray, from_top: bool,
-                  rows: np.ndarray | None = None) -> np.ndarray:
+def _screen(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows of the bands ``lo``/``hi`` (S, L) at one delta that may be
+    feasible at some gamma up to ``gamma``.
+
+    The pinned columns are tested by :func:`_pinned_ok`.  At an interior
+    column a feasible row's least element lies between the clipped lower
+    band less the scan's rounding (about ``2 eps (1 + gamma)``, the
+    capacities reaching gamma) and the clipped upper band plus ``_TOL``.  So
+    a row whose clipped lower band exceeds the upper by more than ``_TOL``
+    plus twice that rounding is infeasible at every such gamma.
+    """
+    margin = _TOL + 4 * np.finfo(float).eps * (1 + gamma)
+    gap = np.clip(lo[:, 1:-1], 0.0, 1.0) - np.clip(hi[:, 1:-1], 0.0, 1.0)
+    return _pinned_ok(lo, hi) & np.all(gap <= margin, axis=1)
+
+
+def _bucket_means(caps: _BlockCaps, cell: np.ndarray | None, cols: np.ndarray,
+                  cum: np.ndarray, from_top: bool) -> np.ndarray:
     """Weighted mean per row of the allocation with cumulative weight
-    ``cum`` (S, L-1) at ``cols[1:]``, filling each bucket's mass greedily
-    from its top atom (the least element) or its bottom atom (the greatest).
+    ``cum`` (N, L-1) at its breakpoint columns after the first, filling each
+    bucket's mass greedily from its top atom (the least element) or its
+    bottom atom (the greatest).  Row r reads caps row ``cell[r]`` at the
+    flat positions ``cols[r]`` (or ``cols[0]``), as in :class:`_ShiftSolve`.
 
     Full atoms add a prefix-sum difference; one partial atom per bucket
     takes the rest, which also absorbs the rounding overshoot of the scans.
-    ``ctrl`` is one sample's :class:`_ControlAtoms`, whose ``cols`` (L,) all
-    rows share; or, with ``rows``, a block's :class:`_BlockCaps`, and row i
-    of ``cols`` (S, L) and ``cum`` takes its capacities from its row
-    ``rows[i]``.
     """
-    p, q, atoms = ctrl.cum_caps, ctrl.cum_moments, ctrl.atoms
-    if rows is None:
-        at, search = operator.getitem, partial(np.searchsorted, p)
-    else:
-        def at(a, idx):
-            return a[rows[:, None], idx]
-        search = partial(ctrl.sorted_caps.searchsorted, rows=rows[:, None])
-    low = at(atoms, 0)
-    start, end = cols[..., :-1], cols[..., 1:]
+    p, q, atoms = caps.cum_caps, caps.cum_moments, caps.atoms
+    search = partial(caps.sorted_caps.searchsorted, rows=cell)
+    low = atoms[cols[:, :1]]
+    start, end = cols[:, :-1], cols[:, 1:]
     need = np.diff(cum, prepend=0.0, axis=1)
     if from_top:
-        p_end = at(p, end)
+        p_end = p[end]
         cut = np.clip(search(p_end - need), start, end)
-        full_mass, full_moment = p_end - at(p, cut), at(q, end) - at(q, cut)
+        full_mass, full_moment = p_end - p[cut], q[end] - q[cut]
         edge = np.maximum(cut - 1, start)
     else:
-        p_start = at(p, start)
+        p_start = p[start]
         cut = np.clip(search(p_start + need, side="right") - 1, start, end)
-        full_mass, full_moment = at(p, cut) - p_start, at(q, cut) - at(q, start)
+        full_mass, full_moment = p[cut] - p_start, q[cut] - q[start]
         edge = np.minimum(cut, end - 1)
-    rest = (need - full_mass) * (at(atoms, edge) - low)
-    return (low + (full_moment + rest).sum(axis=1, keepdims=True))[..., 0]
+    rest = (need - full_mass) * (atoms[edge] - low)
+    return (low + (full_moment + rest).sum(axis=1, keepdims=True))[:, 0]
 
 
 def _bucket_cumulative(cols: np.ndarray, c: np.ndarray, p: np.ndarray,
@@ -374,81 +580,130 @@ def _masses(cum: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ShiftSolve:
-    """Feasibility and attainable weighted-mean ranges for every shift.
+    """Feasibility and attainable weighted-mean ranges of N band rows, row r
+    under the capacities of caps row ``cell[r]`` (``cell`` is (N, 1), or
+    (1, 1) when every row shares it, or None when every row reads caps row
+    0).
 
-    The extreme allocations are kept as their cumulative weights at the
-    breakpoint columns ``cols[1:]``; ``ctrl.cum_caps`` expands one to all
-    atoms.  Each weighted-mean range end is computed over all shifts on
-    first access, so a caller that needs one direction pays for one;
-    :meth:`weights_for` computes both ends at its one shift only.
+    ``cols`` (N, L), or (1, L) when every row shares it, holds each row's
+    breakpoint columns as flat positions in ``caps``.  The extreme
+    allocations are kept as their cumulative weights at the breakpoints
+    after the first; ``caps.cum_caps`` expands one to all atoms.  A
+    weighted-mean range end is computed only for the rows a caller asks for
+    (:meth:`extreme`), so a caller pays for the rows and the direction it
+    reads; :meth:`weights_for` computes both ends at its one row only.
     """
 
-    ctrl: _ControlAtoms
+    caps: _BlockCaps
+    cell: np.ndarray | None
     cols: np.ndarray
     feasible: np.ndarray
     c_least: np.ndarray
     c_great: np.ndarray
 
-    @cached_property
-    def obj_min(self) -> np.ndarray:
-        return _bucket_means(self.ctrl, self.cols, self.c_great, from_top=False)
-
-    @cached_property
-    def obj_max(self) -> np.ndarray:
-        return _bucket_means(self.ctrl, self.cols, self.c_least, from_top=True)
-
-    def _extreme(self, idx: int, from_top: bool) -> float:
-        """``obj_max[idx]`` (``from_top``) or ``obj_min[idx]``, by the same
-        row reduction, without computing the other shifts' values."""
+    def extreme(self, from_top: bool, rows=slice(None)) -> np.ndarray:
+        """The greatest (``from_top``) or least weighted mean of each of
+        ``rows`` (an index array or a slice; all rows by default), by one
+        row-wise reduction whatever the rows."""
         cum = self.c_least if from_top else self.c_great
-        return _bucket_means(self.ctrl, self.cols, cum[idx:idx + 1], from_top)[0]
+        cell, cols = (a if a is None or a.shape[0] == 1 else a[rows]
+                      for a in (self.cell, self.cols))
+        return _bucket_means(self.caps, cell, cols, cum[rows], from_top)
 
-    def _extreme_masses(self, idx: int, from_top: bool) -> np.ndarray:
-        """Per-atom masses of shift ``idx``'s least element filled from the
-        top (``from_top``) or its greatest filled from the bottom."""
+    def extreme_masses(self, r: int, from_top: bool) -> np.ndarray:
+        """Per-atom masses of row r's least element filled from the top
+        (``from_top``) or its greatest filled from the bottom."""
+        cols = self.cols[r if self.cols.shape[0] > 1 else 0]
         cum = self.c_least if from_top else self.c_great
-        return _masses(_bucket_cumulative(self.cols, cum[idx], self.ctrl.cum_caps, from_top))
+        p = self.caps.cum_caps[cols[0]:cols[-1] + 1]
+        return _masses(_bucket_cumulative(cols - cols[0], cum[r], p, from_top))
 
-    def extreme_weights(self, idx: int, from_top: bool) -> np.ndarray:
-        """Control unit weights of one extreme allocation of shift ``idx``
-        (see :meth:`_extreme_masses`)."""
-        return self.ctrl.unit_weights(self._extreme_masses(idx, from_top))
-
-    def weights_for(self, idx: int, value: float) -> np.ndarray:
-        """Control unit weights attaining ``value`` at shift ``idx``: the
-        two extreme allocations' masses blended (any intermediate mean is
-        attainable), then split among the units once."""
-        masses = self._extreme_masses(idx, True)
-        f_max, f_min = self._extreme(idx, True), self._extreme(idx, False)
+    def weights_for(self, r: int, value: float) -> np.ndarray:
+        """Per-atom masses attaining ``value`` at row r: the two extreme
+        allocations' masses blended (any intermediate mean is attainable)."""
+        masses = self.extreme_masses(r, True)
+        one = slice(r, r + 1)
+        f_max, f_min = self.extreme(True, one)[0], self.extreme(False, one)[0]
         if not f_max - f_min <= _TIE_TOL:  # an overflowed (NaN) range blends too
             lam = np.clip((value - f_min) / (f_max - f_min), 0.0, 1.0)
-            masses = lam * masses + (1.0 - lam) * self._extreme_masses(idx, False)
-        return self.ctrl.unit_weights(masses)
+            masses = lam * masses + (1.0 - lam) * self.extreme_masses(r, False)
+        return masses
 
 
-def _control_bands(control_y: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
-                   ks_mode: str) -> _SolvePlan:
-    """The solve plan of ``control_y`` against the ``target`` CDF: the
-    distinct control atoms and the KS bands of every grid shift."""
-    atoms, inverse, counts = np.unique(control_y, return_inverse=True,
-                                       return_counts=True)
-    return _SolvePlan(grid=grid, atoms=atoms, counts=counts, inverse=inverse,
-                      bands=_bands(atoms, target, grid, ks_mode))
+def _shift_solve(caps: _BlockCaps, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 cell: np.ndarray | None = None) -> _ShiftSolve:
+    """Solve the per-shift weighted-mean extremes of every row of the bands
+    ``lo``/``hi`` (N, L): row r holds the cumulative weight at its
+    breakpoint columns ``cols[r]`` (or ``cols[0]``, shared) in ``[lo[r],
+    hi[r]]``, under the capacities of caps row ``cell[r]`` (``cell`` (N, 1)
+    or (1, 1), shared), or of caps row 0 (``cell`` None)."""
+    if cell is None or caps.cum_caps.size == caps.width:  # all rows read caps row 0
+        cell = None
+    else:
+        cols = cols + caps.width * cell
+    return _ShiftSolve(caps, cell, cols, *_breakpoint_extremes(lo, hi, caps.cum_caps[cols]))
 
 
-def _distributional_plan(data: Dataset, m: int, ks_mode: str) -> _SolvePlan:
-    """The solve plan of the ATT models: the controls against the treated
-    ECDF on the grid of resolution ``m`` over all outcomes."""
-    return _control_bands(data.control_y, ecdf(data.treated_y),
-                          shift_grid(data.y, m), ks_mode)
+def _sample_solve(plan: _BlockPlan, caps: _BlockCaps, delta: float, i: int) -> _ShiftSolve:
+    """The :func:`_shift_solve` of sample i of ``plan`` at the one gamma of
+    ``caps`` and at ``delta``: row j is shift j."""
+    (group,) = [g for g in plan.groups if i in g.samples]
+    rows = group.member == np.flatnonzero(group.samples == i)[0]
+    lo, hi = group.bands.at(delta)
+    return _shift_solve(caps, group.bands.cols[group.samples == i], lo[rows], hi[rows],
+                        np.array([[i]]))
 
 
-def _shift_solve(ctrl: _ControlAtoms, bands: _Bands, lo: np.ndarray,
-                 hi: np.ndarray) -> _ShiftSolve:
-    """Solve the per-shift weighted-mean extremes for every shift, with the
-    cumulative weight at ``bands.cols`` held in ``[lo, hi]`` (S, L)."""
-    return _ShiftSolve(ctrl, bands.cols,
-                       *_breakpoint_extremes(lo, hi, ctrl.cum_caps[bands.cols]))
+def _scan(plan: _BlockPlan, caps: _BlockCaps, delta: float, directions, windows=None):
+    """Yield the best feasible shift of every sample of ``plan`` at every
+    gamma of ``caps`` and at ``delta``, in each of ``directions`` ("lower"
+    maximizes the weighted control mean, "upper" minimizes it).
+
+    Yields ``(solve, j, sample, shift, picks)`` per band group and gamma
+    ``caps.gammas[j]``: the :class:`_ShiftSolve` of the group's rows, each
+    row's sample and shift (the index into the sample's grid), and per
+    direction the picked rows of ``solve`` and their values, one per sample
+    that has a feasible shift.
+
+    With ``windows = (wlo, whi)``, sample i's weighted mean must reach
+    ``[wlo[i], whi[i]]``: a shift counts only if its attainable range meets
+    the window, and its value is clipped to it.  Of the values that tie
+    within ``_TIE_TOL``, the shift of lowest :attr:`ShiftGrid.rank` wins
+    (:func:`~drci.distributions._pick`).
+
+    Per band group, :func:`_screen` drops the shifts infeasible at every
+    gamma; at each gamma, the rest go into one :func:`_shift_solve`, each
+    row with its own sample's capacities.  Each direction reads the weighted
+    means of the feasible rows only, and picks one row per sample.
+    """
+    n_samples = plan.n0.size
+    for group in plan.groups:
+        lo, hi = group.bands.at(delta)
+        band = np.flatnonzero(_screen(lo, hi, caps.gammas.max()))
+        lo, hi = lo[band], hi[band]
+        member = group.member[band]
+        sample, shift = group.samples[member], group.shift[band]
+        # a group of one sample keeps its one row of columns, which all rows share
+        cols = group.bands.cols if group.samples.size == 1 else group.bands.cols[member]
+        rank = plan.rank[sample, shift]
+        for j in range(caps.gammas.size):
+            solve = _shift_solve(caps, cols, lo, hi, (j * n_samples + sample)[:, None])
+            feasible = np.flatnonzero(solve.feasible)
+            picks = []
+            for direction in directions:
+                maximize = direction == "lower"
+                ok, values = feasible, solve.extreme(maximize, feasible)
+                if windows is not None:
+                    wlo, whi = (w[sample[ok]] for w in windows)
+                    other = solve.extreme(not maximize, ok)
+                    obj_max, obj_min = (values, other) if maximize else (other, values)
+                    inside = (obj_max >= wlo - _TOL) & (obj_min <= whi + _TOL)
+                    values = np.minimum(values, whi) if maximize else np.maximum(values, wlo)
+                    ok, values = ok[inside], values[inside]
+                # one group per sample: its rows are consecutive
+                pick = _pick(values, member[ok], rank[ok], maximize, _TIE_TOL) if ok.size else ok
+                picks.append((ok[pick], values[pick]))
+            yield solve, j, sample, shift, picks
 
 
 def _select_shift(values: np.ndarray, ok: np.ndarray, rank: np.ndarray,
@@ -462,7 +717,6 @@ def _select_shift(values: np.ndarray, ok: np.ndarray, rank: np.ndarray,
     (pick,) = _pick(values[cand], np.zeros(cand.size, dtype=np.intp), rank[cand],
                     maximize, tol)
     return int(cand[pick])
-
 
 # ---------------------------------------------------------------------------
 # marginal sensitivity model
@@ -563,37 +817,36 @@ def distributional_att_bound(data: Dataset, config: SensitivityConfig) -> BoundR
 
 
 def _distributional_core(data: Dataset, config: SensitivityConfig,
-                         mean_window: tuple[float, float] | None) -> BoundResult:
-    treated_mean = float(data.treated_y.mean())
+                         mean_window: tuple[float, float] | None,
+                         plan: _BlockPlan | None = None) -> BoundResult:
+    """The bound of the ATT models, with the weighted control mean held in
+    ``mean_window`` if given; ``plan`` is the sample's :func:`_att_plan`, if
+    the caller has built it."""
+    if plan is None:
+        plan = _att_plan(data, config.m, config.ks_mode)
     if config.wants_balance:
-        return _distributional_lp_route(data, config, mean_window, treated_mean)
-
-    plan = _distributional_plan(data, config.m, config.ks_mode)
-    solve = _shift_solve(plan.capped(config.gamma), plan.bands,
-                         *plan.bands.at(config.delta))
-    return _bound_from_solve(data, plan.grid, solve, config.direction,
-                             mean_window, treated_mean)
+        return _distributional_lp_route(data, config, mean_window, plan)
+    windows = None if mean_window is None else tuple(np.array([w]) for w in mean_window)
+    (bound,) = _att_bounds(data, plan, plan.capped([config.gamma]), config.delta,
+                           (config.direction,), windows)
+    return bound
 
 
-def _bound_from_solve(data: Dataset, grid: ShiftGrid, solve: _ShiftSolve,
-                      direction: str, mean_window: tuple[float, float] | None,
-                      treated_mean: float) -> BoundResult:
-    """The bound in ``direction`` from one shift solve: the best feasible
-    shift, its weights expanded to the control units, and their SE."""
-    maximize = direction == "lower"
-    ok = solve.feasible
-    values = solve.obj_max if maximize else solve.obj_min
-    if mean_window is not None:
-        wlo, whi = mean_window
-        ok = ok & (solve.obj_max >= wlo - _TOL) & (solve.obj_min <= whi + _TOL)
-        values = np.minimum(values, whi) if maximize else np.maximum(values, wlo)
+def _att_bounds(data: Dataset, plan: _BlockPlan, caps: _BlockCaps, delta: float,
+                directions, windows) -> list[BoundResult]:
+    """The bound in each of ``directions`` from one :func:`_scan` of the
+    one-row ``plan`` at the one gamma of ``caps``: the best feasible shift,
+    its weights expanded to the control units, and their SE."""
+    treated_mean = float(plan.treated_mean[0])
+    ((solve, _, _, shift, picks),) = _scan(plan, caps, delta, directions, windows)
 
-    pick = _select_shift(values, ok, grid.rank, maximize)
-    if pick is None:
-        return _infeasible(direction, treated_mean)
-    value = float(values[pick])
-    return _optimal_result(data, direction, solve.weights_for(pick, value), value,
-                           treated_mean, float(grid.shifts[pick]))
+    def bound(direction, rows, values):
+        if not rows.size:
+            return _infeasible(direction, treated_mean)
+        r, value = int(rows[0]), float(values[0])
+        return _optimal_result(data, direction, plan.unit_weights(0, solve.weights_for(r, value)),
+                               value, treated_mean, float(plan.shifts[0, shift[r]]))
+    return [bound(direction, *pick) for direction, pick in zip(directions, picks)]
 
 
 def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
@@ -601,218 +854,13 @@ def _distributional_sweep(data: Dataset, config: SensitivityConfig, gammas,
     """Yield ``(lower, upper)``, each the :func:`distributional_att_bound`
     result bit for bit, for every (gamma, delta) in row-major order, with
     the other knobs from the balance-free ``config``.  One plan serves the
-    whole grid: one capped atom set per gamma, one shift solve per cell."""
-    plan = _distributional_plan(data, config.m, config.ks_mode)
-    treated_mean = float(data.treated_y.mean())
+    whole grid: one capped atom set per gamma, one scan of both directions
+    per cell."""
+    plan = _att_plan(data, config.m, config.ks_mode)
     for gamma in gammas:
-        ctrl = plan.capped(gamma)
+        caps = plan.capped([gamma])
         for delta in deltas:
-            solve = _shift_solve(ctrl, plan.bands, *plan.bands.at(delta))
-            yield tuple(_bound_from_solve(data, plan.grid, solve, direction,
-                                          None, treated_mean)
-                        for direction in ("lower", "upper"))
-
-
-def _screen(lo: np.ndarray, hi: np.ndarray, gamma: float) -> np.ndarray:
-    """Rows of the bands ``lo``/``hi`` (S, L) at one delta that may be
-    feasible at some gamma up to ``gamma``.
-
-    The pinned columns are tested by :func:`_pinned_ok`.  At an interior
-    column a feasible row's least element lies between the clipped lower
-    band less the scan's rounding (about ``2 eps (1 + gamma)``, the
-    capacities reaching gamma) and the clipped upper band plus ``_TOL``.  So
-    a row whose clipped lower band exceeds the upper by more than ``_TOL``
-    plus twice that rounding is infeasible at every such gamma.
-    """
-    margin = _TOL + 4 * np.finfo(float).eps * (1 + gamma)
-    gap = np.clip(lo[:, 1:-1], 0.0, 1.0) - np.clip(hi[:, 1:-1], 0.0, 1.0)
-    return _pinned_ok(lo, hi) & np.all(gap <= margin, axis=1)
-
-
-@dataclass(frozen=True)
-class _SortedRows:
-    """Rows (B, W) of ascending values, searched row by row, exactly.
-
-    NumPy orders complex numbers by their real part, then their imaginary
-    part.  So with each value's row as the real part and the value itself as
-    the imaginary part, the flattened rows ascend, and one
-    :func:`numpy.searchsorted` searches every row at once, comparing the
-    values themselves (a float offset per row would round them).
-    """
-
-    width: int
-    keys: np.ndarray
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "_SortedRows":
-        return cls(values.shape[1], _row_keys(np.arange(values.shape[0])[:, None],
-                                              values).ravel())
-
-    def searchsorted(self, x: np.ndarray, rows: np.ndarray,
-                     side: str = "left") -> np.ndarray:
-        """``np.searchsorted(values[r], v, side)`` for each ``v`` of ``x``
-        with its row ``r`` of ``rows`` (broadcast against ``x``)."""
-        return np.searchsorted(self.keys, _row_keys(rows, x), side) - self.width * rows
-
-
-def _row_keys(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The complex keys ``rows + 1j * values``, built without arithmetic."""
-    keys = np.empty(np.broadcast_shapes(rows.shape, values.shape), dtype=complex)
-    keys.real, keys.imag = rows, values
-    return keys
-
-
-@dataclass(frozen=True)
-class _BlockCaps:
-    """:meth:`_SolvePlan.capped` of every sample of a block: row i holds
-    sample i's ``atoms``, ``cum_caps`` and ``cum_moments``, padded on the
-    right with zero capacity, so the cumulative rows stay level there."""
-
-    atoms: np.ndarray
-    cum_caps: np.ndarray
-    cum_moments: np.ndarray
-    sorted_caps: _SortedRows
-
-
-@dataclass(frozen=True)
-class _BandGroup:
-    """The KS bands of the samples of a block whose bands share a width L.
-
-    ``bands.cols`` (M, L) holds one row of breakpoint columns per sample
-    ``samples[i]``, and row r of ``bands.top``/``bands.bottom`` is shift
-    ``shift[r]`` of sample ``samples[member[r]]``; the rows come sample by
-    sample, in the order of ``samples``.
-    """
-
-    samples: np.ndarray
-    member: np.ndarray
-    shift: np.ndarray
-    bands: _Bands
-
-
-@dataclass(frozen=True)
-class _BlockPlan:
-    """The :class:`_SolvePlan` of every sample of a block, as padded rows.
-
-    Row i is sample i: its K distinct control outcomes ``atoms[i, :K]``
-    (then the last repeated) with their ``counts`` (then 0), its S grid
-    shifts ``shifts[i, :S]`` (S = ``n_shifts[i]``: 1 for a degenerate grid,
-    else 2m+1) and their :attr:`ShiftGrid.rank` ``rank[i, :S]``.
-    ``inverse`` holds the atom of every control unit, the samples' units in
-    turn, and ``groups`` the bands, by width.
-    """
-
-    atoms: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
-    n0: np.ndarray
-    treated_mean: np.ndarray
-    shifts: np.ndarray
-    rank: np.ndarray
-    n_shifts: np.ndarray
-    groups: tuple[_BandGroup, ...]
-
-    def capped(self, gammas: np.ndarray) -> _BlockCaps:
-        """The atoms with capacity gamma / n0 per unit at each of ``gammas``:
-        row ``j * B + i`` is sample i at ``gammas[j]``."""
-        caps = (self.counts * (gammas[:, None] / self.n0)[..., None]).reshape(
-            -1, self.counts.shape[1])
-        atoms = np.tile(self.atoms, (gammas.size, 1))
-        cum_caps, cum_moments = _cumulative_caps(atoms, caps)
-        return _BlockCaps(atoms, cum_caps, cum_moments, _SortedRows.of(cum_caps))
-
-
-def _row_atoms(values: np.ndarray, row: np.ndarray, n_rows: int):
-    """:func:`numpy.unique` of each row's ``values`` (``row`` ascending):
-    the atoms and counts as rows padded on the right as in
-    :class:`_BlockPlan`, the inverse (each value's atom in its row) and the
-    number of atoms per row."""
-    order = np.lexsort((values, row))
-    v, r = values[order], row[order]
-    new = np.ones(v.size, dtype=bool)
-    new[1:] = (v[1:] != v[:-1]) | (r[1:] != r[:-1])
-    starts = np.flatnonzero(new)
-    atom_row = r[starts]
-    k = np.bincount(atom_row, minlength=n_rows)
-    first = np.cumsum(k) - k  # each row's first atom
-    pos = np.arange(starts.size) - first[atom_row]
-    atoms = np.repeat(v[starts[first + k - 1]][:, None], k.max(), axis=1)
-    counts = np.zeros(atoms.shape, dtype=np.intp)
-    atoms[atom_row, pos] = v[starts]
-    counts[atom_row, pos] = np.diff(starts, append=v.size)
-    inverse = np.empty(v.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1 - first[r]
-    return atoms, counts, inverse, k
-
-
-def _block_plan(draws, m: int, ks_mode: str) -> _BlockPlan:
-    """The :func:`_distributional_plan` of every sample ``(y, t)`` of
-    ``draws`` (both arms nonempty), value for value, built for the block at
-    once: row-wise sorts give the distinct atoms of both arms, the treated
-    ECDF masses come from :func:`~drci.distributions.ecdf`'s own rule
-    (:func:`~drci.distributions._count_masses`), and
-    each row's shift grid and tie order come from the row-wise helpers of
-    :func:`~drci.distributions.shift_grid`.
-
-    In grid mode the bands of all non-degenerate rows come from one
-    :func:`~drci.distributions._grid_bands` call, which counts the atoms and
-    reads the treated CDF with one :meth:`_SortedRows.searchsorted` per arm.
-    Exact-KS and degenerate rows run :func:`~drci.distributions._bands` row
-    by row, on the sample's own :func:`~drci.distributions.ecdf` and
-    :func:`~drci.distributions.shift_grid`.
-    """
-    ys = [np.asarray(y, dtype=float) for y, _ in draws]
-    arms = [np.asarray(t) == 1 for _, t in draws]
-    n_rows = len(ys)
-    y, treated = np.concatenate(ys), np.concatenate(arms)
-    sizes = np.array([v.size for v in ys])
-    unit_row = np.repeat(np.arange(n_rows), sizes)
-    starts = np.cumsum(sizes) - sizes
-    lo = np.minimum.reduceat(y, starts)
-    span = np.maximum.reduceat(y, starts) - lo
-    shifts = _grid_shifts(span, m)  # an all-zero row where span == 0
-    n_shifts = np.where(span == 0, 1, shifts.shape[1])
-
-    atoms, counts, inverse, k0 = _row_atoms(y[~treated], unit_row[~treated], n_rows)
-    t_atoms, t_counts, _, k1 = _row_atoms(y[treated], unit_row[treated], n_rows)
-    n1 = np.bincount(unit_row[treated], minlength=n_rows)
-    masses = _count_masses(t_counts, n1)  # ecdf's masses, row by row
-    t_cdf = np.zeros((n_rows, masses.shape[1] + 1))  # [0, WeightedEcdf.cum]
-    t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
-    t_cdf[np.arange(n_rows), k1] = 1.0
-
-    parts: dict[int, list] = {}  # width -> [(samples, bands)]
-    on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
-    rows = np.flatnonzero(on_grid)
-    if rows.size:
-        g, at = rows[:, None], np.arange(rows.size)[:, None]
-        c_keys, t_keys = _SortedRows.of(atoms[rows]), _SortedRows.of(t_atoms[rows])
-        # searches past a row's last atom also count its padding
-        for members, bands in _grid_bands(
-                lo[rows], span[rows], m,
-                lambda x: np.minimum(c_keys.searchsorted(x, at, side="right"), k0[g]),
-                lambda x: t_cdf[g, np.minimum(t_keys.searchsorted(x, at, side="right"),
-                                              k1[g])]):
-            parts.setdefault(bands.cols.shape[1], []).append((rows[members], bands))
-    for i in np.flatnonzero(~on_grid):
-        bands = _bands(atoms[i, :k0[i]], ecdf(ys[i][arms[i]]), shift_grid(ys[i], m), ks_mode)
-        parts.setdefault(k0[i] + 1, []).append(
-            (np.array([i]), replace(bands, cols=bands.cols[None])))
-
-    groups = []
-    for same in parts.values():
-        samples = np.concatenate([s for s, _ in same])
-        size = n_shifts[samples]
-        groups.append(_BandGroup(
-            samples, np.repeat(np.arange(samples.size), size),
-            np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size),
-            same[0][1] if len(same) == 1 else
-            _Bands(*(np.concatenate([getattr(b, name) for _, b in same])
-                     for name in ("cols", "top", "bottom")))))
-    return _BlockPlan(
-        atoms=atoms, counts=counts, inverse=inverse, n0=sizes - n1,
-        treated_mean=np.array([v[t].mean() for v, t in zip(ys, arms)]),
-        shifts=shifts, rank=_shift_rank(shifts), n_shifts=n_shifts, groups=tuple(groups))
+            yield tuple(_att_bounds(data, plan, caps, delta, ("lower", "upper"), None))
 
 
 def _distributional_lower_block(draws, gammas, delta: float, m: int,
@@ -820,57 +868,20 @@ def _distributional_lower_block(draws, gammas, delta: float, m: int,
     """``distributional_att_bound(...).estimate`` of the lower bound of each
     sample ``(y, t)`` of ``draws`` (rows, both arms nonempty) at each of
     ``gammas`` (columns), bit for bit (NaN where infeasible), with no
-    weights, SE or :class:`BoundResult`.
-
-    One :func:`_block_plan` serves the block, capped at every gamma at once.
-    Per band width, :func:`_screen` drops the shifts infeasible at every
-    gamma, and the rest are stacked into one row-wise
-    :func:`_breakpoint_extremes` call per gamma, each row with its own
-    sample's capacities, then one :func:`_bucket_means` call and one
-    :func:`~drci.distributions._pick` for all of them.
-    """
-    gammas = np.array([float(g) for g in gammas])
-    plan = _block_plan(draws, m, ks_mode)
-    out = np.full((plan.n0.size, gammas.size), np.nan)
-    caps = plan.capped(gammas)
-    for group in plan.groups:
-        lo, hi = group.bands.at(delta)
-        rows = np.flatnonzero(_screen(lo, hi, gammas.max()))
-        if rows.size:
-            _lower_block_scan(plan, group, rows, lo[rows], hi[rows], caps, out)
+    weights, SE or :class:`BoundResult`: one :func:`_block_plan` for the
+    block, capped at every gamma at once, and one :func:`_scan`."""
+    plan = _block_plan([(y[t == 0], y[t == 1], y.min(), y.max()) for y, t in draws],
+                       m, ks_mode)
+    out = np.full((plan.n0.size, len(gammas)), np.nan)
+    for _, j, sample, _, ((picked, values),) in _scan(
+            plan, plan.capped([float(g) for g in gammas]), delta, ("lower",)):
+        out[sample[picked], j] = plan.treated_mean[sample[picked]] - values
     return out
-
-
-def _lower_block_scan(plan: _BlockPlan, group: _BandGroup, rows: np.ndarray,
-                      lo: np.ndarray, hi: np.ndarray, caps: _BlockCaps,
-                      out: np.ndarray) -> None:
-    """Fill ``out[sample, gamma]`` from the bands ``lo``/``hi`` of the
-    ``rows`` of one width group: one scan per gamma, then the bucket means
-    of the rows feasible at any gamma in one call."""
-    member = group.member[rows]
-    sample = group.samples[member]
-    cols = group.bands.cols[member]
-    ranks = plan.rank[sample, group.shift[rows]]
-    scans = []  # per gamma: the feasible rows, their caps rows, c_least
-    for j in range(out.shape[1]):
-        at_gamma = j * out.shape[0] + sample
-        feasible, c_least = _breakpoint_extremes(
-            lo, hi, caps.cum_caps[at_gamma[:, None], cols])[:2]
-        f = np.flatnonzero(feasible)
-        scans.append((np.full(f.size, j), f, at_gamma[f], c_least[f]))
-    j, r, at, c_least = (np.concatenate(a) for a in zip(*scans))
-    if not r.size:
-        return
-    values = _bucket_means(caps, cols[r], c_least, from_top=True, rows=at)
-    # _select_shift's pick, one group per sample and gamma
-    pick = _pick(values, j * group.samples.size + member[r], ranks[r], True, _TIE_TOL)
-    won = sample[r[pick]]
-    out[won, j[pick]] = plan.treated_mean[won] - values[pick]
 
 
 def _distributional_lp_route(data: Dataset, config: SensitivityConfig,
                              mean_window: tuple[float, float] | None,
-                             treated_mean: float) -> BoundResult:
+                             plan: _BlockPlan) -> BoundResult:
     """Shift enumeration with per-shift LPs; needed once covariate-balance
     terms couple the objective across atoms.
 
@@ -888,22 +899,24 @@ def _distributional_lp_route(data: Dataset, config: SensitivityConfig,
     LP values carry roundoff of the outcome scale, and which of two tied
     shifts a pivot path favours must not decide the pick.  Each LP starts
     from its shift's extreme weights in one kernel solve of the unwidened
-    bands (:meth:`_ShiftSolve.extreme_weights`).  The penalty and the cap
+    bands (:meth:`_ShiftSolve.extreme_masses`).  The penalty and the cap
     are two forms of one balance term, so a config setting both is refused.
     """
     if config.balance_lambda > 0 and config.balance_epsilon is not None:
         raise ValueError("balance_lambda and balance_epsilon exclude each other: "
                          "set the penalty or the cap, not both")
     y0 = data.control_y
-    plan = _distributional_plan(data, config.m, config.ks_mode)
-    ctrl, bands = plan.capped(config.gamma), plan.bands
+    treated_mean = float(plan.treated_mean[0])
+    caps = plan.capped([config.gamma])
+    (group,) = plan.groups
 
     lp = _balance_lp(data, config, balance_terms(data, config.balance_lambda),
-                     bands.cols, ctrl, mean_window)
+                     group.bands.cols[0], plan.inverse[0], mean_window)
     maximize = config.direction == "lower"
-    lo, hi = bands.at(config.delta)
-    screen = _shift_solve(ctrl, bands, lo - _LP_ROW_TOL, hi + _LP_ROW_TOL)
-    feasible, obj_min, obj_max = screen.feasible, screen.obj_min, screen.obj_max
+    lo, hi = group.bands.at(config.delta)
+    cols = group.bands.cols
+    screen = _shift_solve(caps, cols, lo - _LP_ROW_TOL, hi + _LP_ROW_TOL)
+    feasible, obj_min, obj_max = screen.feasible, screen.extreme(False), screen.extreme(True)
     # the LP has no row for column 0; both pinned columns keep the kernel's tolerance
     feasible &= _pinned_ok(lo, hi)
     scale = 1.0 + float(np.abs(y0).max())
@@ -915,18 +928,19 @@ def _distributional_lp_route(data: Dataset, config: SensitivityConfig,
         feasible &= (obj_max >= wlo - reach) & (obj_min <= whi + reach)
     # bounds on each shift's LP value, oriented so that smaller is better
     bound = -obj_max if maximize else obj_min
-    rank = plan.grid.rank
+    rank = plan.rank[0, :plan.n_shifts[0]]
     cand = np.flatnonzero(feasible)
     cand = cand[np.lexsort((rank[cand], bound[cand]))]
 
-    start = _shift_solve(ctrl, bands, lo, hi)
+    start = _shift_solve(caps, cols, lo, hi)
     values = np.full(rank.size, np.nan)  # penalized LP value per solved shift
     solved = {}  # shift index -> control weights
     best = math.inf  # best oriented value so far
     for j in cand:
         if bound[j] > best + slack:
             break
-        sol = _solve_balance_lp(lp, lo[j], hi[j], start.extreme_weights(j, maximize))
+        sol = _solve_balance_lp(lp, lo[j], hi[j],
+                                plan.unit_weights(0, start.extreme_masses(j, maximize)))
         if sol is None:
             continue
         values[j], solved[j] = sol
@@ -937,7 +951,7 @@ def _distributional_lp_route(data: Dataset, config: SensitivityConfig,
         return _infeasible(config.direction, treated_mean)
     w = solved[pick]
     return _optimal_result(data, config.direction, w, float(w @ y0), treated_mean,
-                           float(plan.grid.shifts[pick]))
+                           float(plan.shifts[0, pick]))
 
 
 @dataclass(frozen=True)
@@ -951,8 +965,9 @@ class _BalanceLp:
     shared: LpProblem
 
 
-def _balance_lp(data, config, bal, cols, ctrl, mean_window) -> _BalanceLp:
-    """The shift-free parts of the balance route's LPs."""
+def _balance_lp(data, config, bal, cols, inverse, mean_window) -> _BalanceLp:
+    """The shift-free parts of the balance route's LPs, for the control
+    units of atoms ``inverse`` and the breakpoint columns ``cols``."""
     y0 = data.control_y
     n0, n_aux = y0.size, bal.n_covariates
     maximize = config.direction == "lower"
@@ -961,7 +976,7 @@ def _balance_lp(data, config, bal, cols, ctrl, mean_window) -> _BalanceLp:
     if bal.lam > 0:
         # penalty always degrades the optimum
         c[n0:] = -bal.lam if maximize else bal.lam
-    below = (ctrl.inverse < cols[1:, None]).astype(float)
+    below = (inverse < cols[1:, None]).astype(float)
     band_rows = np.zeros((below.shape[0], 2, c.size))
     band_rows[:, 0, :n0], band_rows[:, 1, :n0] = below, -below
 
@@ -1153,11 +1168,12 @@ def minimal_achievable_ks(
     SensitivityConfig(gamma=gamma, m=m, ks_mode=ks_mode)  # validates the knobs
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    plan = _distributional_plan(data, m, ks_mode)
-    ctrl = plan.capped(gamma)
+    plan = _att_plan(data, m, ks_mode)
+    caps = plan.capped([gamma])
+    (group,) = plan.groups
 
     def feasible(delta: float) -> bool:
-        return bool(_shift_solve(ctrl, plan.bands, *plan.bands.at(delta)).feasible.any())
+        return bool(_shift_solve(caps, group.bands.cols, *group.bands.at(delta)).feasible.any())
 
     lo_d, hi_d = 0.0, 1.0
     if feasible(lo_d):

@@ -24,18 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Dataset, WeightedEcdf, cic_target_cdf, ecdf, shift_grid
+from .distributions import Dataset, WeightedEcdf, _count_masses, cic_target_cdf, ecdf
 from .dro_solvers import (
     _TOL,
     BoundResult,
     SensitivityConfig,
-    _control_bands,
+    _att_plan,
+    _block_plan,
     _distributional_core,
     _infeasible,
     _optimal_result,
     _refuse_balance,
+    _sample_solve,
     _select_shift,
-    _shift_solve,
 )
 
 __all__ = [
@@ -87,15 +88,19 @@ def did_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
 
 def cic_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
     """As :func:`did_att_bound` but the target mean comes from the
-    changes-in-changes composed CDF."""
+    changes-in-changes composed CDF.  ``F_00`` is the :func:`ecdf` of the
+    controls, built from the solve plan's distinct control atoms and counts
+    by ``ecdf``'s own rule, so the controls are sorted once."""
     if data.y_b is None:
         raise ValueError("changes-in-changes needs baseline outcomes")
     treated = data.t == 1
     f_b1 = ecdf(data.y_b[treated])
     f_b0 = ecdf(data.y_b[~treated])
-    f_00 = ecdf(data.y[~treated])
+    plan = _att_plan(data, config.m, config.ks_mode)
+    # + 0.0: ecdf's atoms, whose zero is always +0.0
+    f_00 = WeightedEcdf(plan.atoms[0] + 0.0, _count_masses(plan.counts[0], data.n0))
     target = cic_target_cdf(f_b1, f_b0, f_00).mean()
-    return _distributional_core(data, config, _mean_window(target, config.epsilon))
+    return _distributional_core(data, config, _mean_window(target, config.epsilon), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -116,20 +121,26 @@ class IvStrata:
 
     @classmethod
     def from_dataset(cls, data: Dataset) -> "IvStrata":
-        if data.z is None:
-            raise ValueError("instrumental-variables analysis needs an instrument")
-        outcomes, indices, counts = {}, {}, {}
-        for t in (0, 1):
-            for z in (0, 1):
-                idx = data.stratum_indices(t, z)
-                if idx.size == 0:
-                    raise ValueError(f"empty stratum (t={t}, z={z})")
-                outcomes[(t, z)] = data.y[idx]
-                indices[(t, z)] = idx
-                counts[(t, z)] = int(idx.size)
-        proportions = {k: v / data.n for k, v in counts.items()}
-        treated_ecdf = {z: ecdf(outcomes[(1, z)]) for z in (0, 1)}
-        return cls(outcomes, indices, counts, proportions, treated_ecdf)
+        outcomes, indices, counts, proportions = _strata(data)
+        return cls(outcomes, indices, counts, proportions,
+                   {z: ecdf(outcomes[(1, z)]) for z in (0, 1)})
+
+
+def _strata(data: Dataset):
+    """The outcomes, unit indices, counts and proportions of the four
+    (t, z) strata of :class:`IvStrata`, without the treated ECDFs."""
+    if data.z is None:
+        raise ValueError("instrumental-variables analysis needs an instrument")
+    outcomes, indices, counts = {}, {}, {}
+    for t in (0, 1):
+        for z in (0, 1):
+            idx = data.stratum_indices(t, z)
+            if idx.size == 0:
+                raise ValueError(f"empty stratum (t={t}, z={z})")
+            outcomes[(t, z)] = data.y[idx]
+            indices[(t, z)] = idx
+            counts[(t, z)] = int(idx.size)
+    return outcomes, indices, counts, {k: v / data.n for k, v in counts.items()}
 
 
 def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
@@ -140,27 +151,34 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
     estimate is ``treated_mean - counterfactual_mean``, the counterfactual
     being the arms' extreme means weighted by their treated shares."""
     _refuse_balance(config, "iv")
-    strata = IvStrata.from_dataset(data)
+    # the plan rows hold the treated outcomes, so no treated ECDF is built
+    outcomes, indices, counts, proportions = _strata(data)
     warnings = tuple(
         f"stratum (t={t}, z={z}) has fewer than 2 units; bounds may be overly conservative"
-        for (t, z), cnt in sorted(strata.counts.items())
+        for (t, z), cnt in sorted(counts.items())
         if cnt < 2
     )
-    grid = shift_grid(data.y, config.m)
-    p1 = strata.proportions[(1, 0)] + strata.proportions[(1, 1)]
+    p1 = proportions[(1, 0)] + proportions[(1, 1)]
     treated_mean = float(data.treated_y.mean())
     maximize = config.direction == "lower"
+    # rows 2z and 2z + 1: the controls of arm z and of arm 1 - z against the
+    # treated of arm z, all on the grid over every outcome
+    lo, hi = data.y.min(), data.y.max()
+    plan = _block_plan([(outcomes[(0, arm)], outcomes[(1, z)], lo, hi)
+                        for z in (0, 1) for arm in (z, 1 - z)], config.m, config.ks_mode)
+    caps = plan.capped([config.gamma])
+    solves = [_sample_solve(plan, caps, config.delta, i) for i in range(4)]
 
     counterfactual = 0.0
     arm_index, arm_values = [], []
     for z in (0, 1):
-        share = strata.proportions[(1, z)] / p1
-        solved = _solve_iv_arm(strata, z, grid, config, maximize)
+        share = proportions[(1, z)] / p1
+        solved = _solve_iv_arm(plan, solves, z, config.epsilon, maximize)
         if solved is None:
             return _infeasible(config.direction, treated_mean, warnings)
         mu_star, unit_w = solved
         counterfactual += share * mu_star
-        arm_index.append(strata.indices[(0, z)])
+        arm_index.append(indices[(0, z)])
         arm_values.append(share * unit_w)
 
     # the two arms' controls are all the controls, so the weights sorted by
@@ -170,30 +188,26 @@ def iv_att_bound(data: Dataset, config: SensitivityConfig) -> BoundResult:
                            counterfactual, treated_mean, None, warnings)
 
 
-def _solve_iv_arm(strata: IvStrata, z: int, grid, config: SensitivityConfig,
-                  maximize: bool):
-    """Extreme counterfactual mean for arm ``z``; returns (mean, weights over
-    the (0, z) stratum) or None when no shift pair is feasible."""
-    eps = config.epsilon
-    solved = []
-    for arm in (z, 1 - z):
-        plan = _control_bands(strata.outcomes[(0, arm)], strata.treated_ecdf[z],
-                              grid, config.ks_mode)
-        solved.append(_shift_solve(plan.capped(config.gamma), plan.bands,
-                                   *plan.bands.at(config.delta)))
-    main, other = solved
+def _solve_iv_arm(plan, solves, z: int, eps: float, maximize: bool):
+    """Extreme counterfactual mean for arm ``z``, from the solves of plan
+    rows ``2z`` (arm z's controls) and ``2z + 1`` (the other arm's); returns
+    (mean, weights over the (0, z) stratum) or None when no shift pair is
+    feasible."""
+    main, other = solves[2 * z], solves[2 * z + 1]
 
     # attainable-interval coupling: the pair is feasible iff the main
     # interval meets the other interval inflated by eps
-    low = np.maximum(main.obj_min[:, None], other.obj_min[None, :] - eps)
-    high = np.minimum(main.obj_max[:, None], other.obj_max[None, :] + eps)
+    low = np.maximum(main.extreme(False)[:, None], other.extreme(False)[None, :] - eps)
+    high = np.minimum(main.extreme(True)[:, None], other.extreme(True)[None, :] + eps)
     ok = main.feasible[:, None] & other.feasible[None, :] & (low <= high + _TOL)
     values = (high if maximize else low).ravel()
     # the pair (j1, j2) ranks by j1's shift rank, then by j2's
-    n_sh = grid.rank.size
-    pair_rank = (grid.rank[:, None] * n_sh + grid.rank).ravel()
+    rank = plan.rank[0, :plan.n_shifts[0]]
+    n_sh = rank.size
+    pair_rank = (rank[:, None] * n_sh + rank).ravel()
     pick = _select_shift(values, ok.ravel(), pair_rank, maximize)
     if pick is None:
         return None
     mu_star = float(values[pick])
-    return mu_star, main.weights_for(pick // n_sh, mu_star)
+    masses = main.weights_for(pick // n_sh, mu_star)
+    return mu_star, plan.unit_weights(2 * z, masses)

@@ -183,11 +183,12 @@ def run_monte_carlo(
     each replication's controls once for all gammas.  The distributional
     cells are the lower :func:`~drci.dro_solvers.distributional_att_bound`
     estimates bit for bit, computed without weights or standard errors by
-    :func:`~drci.dro_solvers._distributional_lower_block`: the solve plans
-    of the whole block in one vectorized pass, a gamma-free screen that
-    drops the shifts infeasible at every gamma, and one breakpoint scan per
-    gamma over the surviving shifts of all replications in the block whose
-    bands share a width.
+    :func:`~drci.dro_solvers._distributional_lower_block`: one solve plan for
+    the whole block (:func:`~drci.dro_solvers._block_plan`, a row per
+    replication), capped at every gamma, and the one scan of every
+    distributional bound (:func:`~drci.dro_solvers._scan`), which screens
+    out the shifts infeasible at every gamma and stacks the rest of all the
+    block's replications whose bands share a width.
     """
     _check_n(n)
     if not _is_int(reps) or reps < 1:

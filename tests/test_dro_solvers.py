@@ -438,45 +438,62 @@ class TestOneRowExtreme:
 
     @pytest.mark.parametrize("m", [1, 20, 200])
     @pytest.mark.parametrize("shape", _KERNEL_SHAPES)
-    def test_one_row_equals_full_grid(self, m, shape):
+    def test_one_row_equals_full_grid(self, m, shape, monkeypatch):
         data = _kernel_dataset(np.random.default_rng(m), shape, 300, 200)
-        plan = ds._distributional_plan(data, m, "grid")
-        ctrl = plan.capped(2.0)
-        bands = plan.bands.at(0.5)
+        plan = ds._att_plan(data, m, "grid")
+        caps = plan.capped([2.0])
+        (group,) = plan.groups
+        bands = group.bands.at(0.5)
 
         def fresh():
-            return ds._shift_solve(ctrl, plan.bands, *bands)
+            return ds._shift_solve(caps, group.bands.cols, *bands)
 
         full = fresh()
         rows = np.flatnonzero(full.feasible)
         assert rows.size
-        for from_top, name in ((True, "obj_max"), (False, "obj_min")):
+        sizes = _record_bucket_means(monkeypatch)
+        for from_top in (True, False):
             solve = fresh()
-            one = np.array([solve._extreme(j, from_top) for j in rows])
-            assert name not in solve.__dict__
-            assert np.all(one == getattr(full, name)[rows])
-            assert one.tobytes() == getattr(full, name)[rows].tobytes()
+            sizes.clear()
+            one = np.array([solve.extreme(from_top, slice(j, j + 1))[0] for j in rows])
+            assert sizes == [(from_top, 1)] * rows.size  # no full grid computed
+            assert np.all(one == full.extreme(from_top)[rows])
+            assert one.tobytes() == full.extreme(from_top)[rows].tobytes()
 
     @pytest.mark.parametrize("m", [1, 20, 200])
     @pytest.mark.parametrize("direction", ["lower", "upper"])
-    def test_att_bound_reads_one_grid(self, m, direction):
+    def test_att_bound_reads_one_grid(self, m, direction, monkeypatch):
         data = _kernel_dataset(np.random.default_rng(m), "spread", 300, 200)
-        plan = ds._distributional_plan(data, m, "grid")
-        ctrl = plan.capped(2.0)
-        unread = "obj_min" if direction == "lower" else "obj_max"
+        plan = ds._att_plan(data, m, "grid")
+        caps = plan.capped([2.0])
+        unread = direction == "upper"  # from_top of the grid a bound leaves unread
+        sizes = _record_bucket_means(monkeypatch)
         results = []
         for both in (False, True):
-            solve = ds._shift_solve(ctrl, plan.bands, *plan.bands.at(0.1))
-            if both:  # both grids cached before the pick, as before
-                solve.obj_min, solve.obj_max
-            treated_mean = float(data.treated_y.mean())
-            results.append(ds._bound_from_solve(data, plan.grid, solve, direction, None,
-                                                treated_mean))
-            assert (unread in solve.__dict__) == both
+            sizes.clear()
+            # both: the scan reads both grids before the pick, as the sweep does
+            directions = ("lower", "upper") if both else (direction,)
+            bounds = ds._att_bounds(data, plan, caps, 0.1, directions, None)
+            results.append(bounds[directions.index(direction)])
+            # alone, a bound reads the other end once, at its picked row
+            assert ([n for top, n in sizes if top == unread] == [1]) == (not both)
         one, full = results
         assert one.status == full.status == "optimal"
         assert one == full
         assert one.weight_values.tobytes() == full.weight_values.tobytes()
+
+
+def _record_bucket_means(monkeypatch):
+    """Record ``(from_top, rows)`` of every ``_bucket_means`` call."""
+    sizes = []
+    real = ds._bucket_means
+
+    def recording(caps, cell, cols, cum, from_top):
+        sizes.append((from_top, cum.shape[0]))
+        return real(caps, cell, cols, cum, from_top)
+
+    monkeypatch.setattr(ds, "_bucket_means", recording)
+    return sizes
 
 
 def _near_tol_bands(rng, gamma, rows=400, k=40, width=6):
@@ -699,12 +716,11 @@ def _every_shift_route(data, cfg, window):
     pinned columns allow weights, best (value, |c|, c) key wins.  Returns
     the winner ``(w, shift)`` or None, and the LP verdict per solved shift."""
     grid = shift_grid(data.y, cfg.m)
-    plan = ds._control_bands(data.control_y, ecdf(data.treated_y), grid, cfg.ks_mode)
-    ctrl, bands = plan.capped(cfg.gamma), plan.bands
+    plan, caps, bands = _one_row_plan(data, cfg)
     lo, hi = bands.at(cfg.delta)
-    lp = ds._balance_lp(data, cfg, balance_terms(data, cfg.balance_lambda), bands.cols,
-                        ctrl, window)
-    start = _start_weights(ctrl, bands, lo, hi, cfg.direction)
+    lp = ds._balance_lp(data, cfg, balance_terms(data, cfg.balance_lambda), bands.cols[0],
+                        plan.inverse[0], window)
+    start = _start_weights(plan, caps, bands, lo, hi, cfg.direction)
     best, solved = None, {}
     for j, c in enumerate(grid.shifts):
         if lo[j, 0] > 1e-9 or hi[j, -1] < 1 - 1e-9 or lo[j, -1] > 1 + 1e-9:
@@ -720,10 +736,18 @@ def _every_shift_route(data, cfg, window):
     return (None if best is None else best[1:]), solved
 
 
-def _start_weights(ctrl, bands, lo, hi, direction):
+def _one_row_plan(data, cfg):
+    """The sample's one-row plan, capped at ``cfg.gamma``, and its bands."""
+    plan = ds._att_plan(data, cfg.m, cfg.ks_mode)
+    (group,) = plan.groups
+    return plan, plan.capped([cfg.gamma]), group.bands
+
+
+def _start_weights(plan, caps, bands, lo, hi, direction):
     """Each shift's start for its LP: its extreme weights in one kernel solve."""
-    start = ds._shift_solve(ctrl, bands, lo, hi)
-    return [start.extreme_weights(j, direction == "lower") for j in range(lo.shape[0])]
+    start = ds._shift_solve(caps, bands.cols, lo, hi)
+    return [plan.unit_weights(0, start.extreme_masses(j, direction == "lower"))
+            for j in range(lo.shape[0])]
 
 
 def _widened_screen(data, cfg, window):
@@ -732,21 +756,19 @@ def _widened_screen(data, cfg, window):
     their weighted-mean range reach the window within the LP's tolerance?
     Also the band rows per shift."""
     y0 = data.control_y
-    plan = ds._control_bands(y0, ecdf(data.treated_y), shift_grid(data.y, cfg.m),
-                             cfg.ks_mode)
-    ctrl, bands = plan.capped(cfg.gamma), plan.bands
+    _, caps, bands = _one_row_plan(data, cfg)
     lo, hi = bands.at(cfg.delta)
     wide, c_least, c_great = ds._breakpoint_extremes(
-        lo - 1e-8, hi + 1e-8, ctrl.cum_caps[bands.cols])
+        lo - 1e-8, hi + 1e-8, caps.cum_caps[bands.cols[0]])
     if window is not None:
         reach = 1.1e-8 * (1.0 + np.abs(y0).max())
-        top = ds._bucket_means(ctrl, bands.cols, c_least, from_top=True)
-        bottom = ds._bucket_means(ctrl, bands.cols, c_great, from_top=False)
+        top = ds._bucket_means(caps, None, bands.cols, c_least, from_top=True)
+        bottom = ds._bucket_means(caps, None, bands.cols, c_great, from_top=False)
         wide &= (top >= window[0] - reach) & (bottom <= window[1] + reach)
     return wide, lo, hi
 
 
-def _per_lp_problem(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
+def _per_lp_problem(data, config, bal, cols, lo_row, hi_row, plan, caps, mean_window):
     """One shift's balance LP built whole, a row at a time: the band rows,
     two rows per covariate, the balance_epsilon row and the mean-window
     rows; the start from a one-row kernel scan of this shift."""
@@ -758,7 +780,7 @@ def _per_lp_problem(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
         c[n0:] = -bal.lam if maximize else bal.lam
     rows_a, rows_b = [], []
     for q, lo_q, hi_q in zip(cols[1:], lo_row[1:], hi_row[1:]):
-        below = (ctrl.inverse < q).astype(float)
+        below = (plan.inverse[0] < q).astype(float)
         if hi_q < 1:
             rows_a.append(np.concatenate([below, np.zeros(n_aux)]))
             rows_b.append(hi_q)
@@ -788,15 +810,15 @@ def _per_lp_problem(data, config, bal, cols, lo_row, hi_row, ctrl, mean_window):
             rows_a.append(np.concatenate([-y0, np.zeros(n_aux)]))
             rows_b.append(-wlo)
     _, c_least, c_great = ds._breakpoint_extremes(lo_row[None, :], hi_row[None, :],
-                                                  ctrl.cum_caps[cols])
+                                                  caps.cum_caps[cols])
     cum = ds._bucket_cumulative(cols, c_least[0] if maximize else c_great[0],
-                                ctrl.cum_caps, from_top=maximize)
+                                caps.cum_caps, from_top=maximize)
     return LpProblem(
         c=c, sense="max" if maximize else "min", a_ub=np.vstack(rows_a),
         b_ub=np.asarray(rows_b), a_eq=np.concatenate([np.ones(n0), np.zeros(n_aux)])[None, :],
         b_eq=[1.0], lower=np.zeros(n0 + n_aux),
         upper=np.concatenate([np.full(n0, min(config.gamma / n0, 1.0)), s_caps]),
-        x0=np.concatenate([ctrl.unit_weights(ds._masses(cum)), np.zeros(n_aux)]),
+        x0=np.concatenate([plan.unit_weights(0, ds._masses(cum)), np.zeros(n_aux)]),
     )
 
 
@@ -827,19 +849,18 @@ class TestBalanceRouteWork:
         data = _balance_sample(31)
         cfg = SensitivityConfig(gamma=2.0, delta=0.1, m=20, balance_lambda=0.5,
                                 ks_mode=ks_mode)
-        plan = ds._control_bands(data.control_y, ecdf(data.treated_y),
-                                 shift_grid(data.y, cfg.m), ks_mode)
-        ctrl, cols = plan.capped(cfg.gamma), plan.bands.cols
-        lo, hi = plan.bands.at(cfg.delta)
+        plan, caps, bands = _one_row_plan(data, cfg)
+        cols = bands.cols[0]
+        lo, hi = bands.at(cfg.delta)
         bal = balance_terms(data, cfg.balance_lambda)
-        lp = ds._balance_lp(data, cfg, bal, cols, ctrl, None)
-        start = _start_weights(ctrl, plan.bands, lo, hi, cfg.direction)
+        lp = ds._balance_lp(data, cfg, bal, cols, plan.inverse[0], None)
+        start = _start_weights(plan, caps, bands, lo, hi, cfg.direction)
         trimmed = 0
         for j in range(lo.shape[0]):
             ds._solve_balance_lp(lp, lo[j], hi[j], start[j])
             rows_a, rows_b = [], []
             for q, lo_q, hi_q in zip(cols[1:], lo[j, 1:], hi[j, 1:]):
-                row = (ctrl.inverse < q).astype(float)
+                row = (plan.inverse[0] < q).astype(float)
                 if hi_q < 1:
                     rows_a.append(row)
                     rows_b.append(hi_q)
@@ -875,12 +896,11 @@ class TestBalanceRouteWork:
             window = (target - cfg.epsilon, target + cfg.epsilon)
         r = did_att_bound(data, cfg) if did else distributional_att_bound(data, cfg)
         assert r.status == "optimal" and lp_calls
-        plan = ds._control_bands(data.control_y, ecdf(data.treated_y),
-                                 shift_grid(data.y, cfg.m), ks_mode)
-        ctrl, cols = plan.capped(cfg.gamma), plan.bands.cols
-        lo, hi = plan.bands.at(cfg.delta)
+        plan, caps, bands = _one_row_plan(data, cfg)
+        cols = bands.cols[0]
+        lo, hi = bands.at(cfg.delta)
         bal = balance_terms(data, cfg.balance_lambda)
-        want = [_per_lp_problem(data, cfg, bal, cols, lo[j], hi[j], ctrl, window)
+        want = [_per_lp_problem(data, cfg, bal, cols, lo[j], hi[j], plan, caps, window)
                 for j in range(lo.shape[0])]
         names = ("c", "sense", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper", "x0")
         for got in lp_calls:

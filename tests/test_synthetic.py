@@ -6,8 +6,9 @@ import pytest
 
 import drci.dro_solvers as ds
 import drci.synthetic as syn
-from drci.distributions import Dataset
+from drci.distributions import Dataset, _bands, ecdf, shift_grid
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
+from drci.extensions import DidTargets, did_att_bound
 from drci.synthetic import Scenario, generate_scenario, run_monte_carlo, true_att
 
 
@@ -260,7 +261,7 @@ class TestLowerBlock:
     def test_several_band_widths_in_one_block(self, ks_mode):
         s, gammas, delta, m = Scenario(3, 2, 0.5), (1.2, 2.0, 5.0, 1e8), 0.15, 12
         datasets = [generate_scenario(s, n, (51, n)) for n in (9, 16, 25, 40, 40, 70)]
-        widths = {ds._distributional_plan(d, m, ks_mode).bands.cols.size for d in datasets}
+        widths = {ds._att_plan(d, m, ks_mode).groups[0].bands.cols.shape[1] for d in datasets}
         assert len(widths) >= 3
         got = ds._distributional_lower_block([(d.y, d.t) for d in datasets], gammas, delta,
                                               m, ks_mode)
@@ -297,36 +298,45 @@ def _block_samples():
 
 
 class TestBlockPlan:
-    """The block builder against the per-sample plans, field by field."""
+    """The block builder against per-row references built from
+    :func:`numpy.unique`, ``shift_grid``, ``ecdf`` and ``_bands``, field by
+    field."""
 
     @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
     def test_rows_are_the_sample_plans(self, ks_mode):
         samples, m = _block_samples(), 6
-        plan = ds._block_plan([(d.y, d.t) for d in samples], m, ks_mode)
-        inverses = np.split(plan.inverse, np.cumsum(plan.n0)[:-1])
+        # each sample's row, then rows as an IV arm has them: one sample's
+        # controls against another's treated, on the grid over both samples
+        rows = [(d.control_y, d.treated_y, d.y.min(), d.y.max()) for d in samples]
+        rows += [(a.control_y, b.treated_y, min(a.y.min(), b.y.min()), max(a.y.max(), b.y.max()))
+                 for a, b in zip(samples[:3], samples[3:6])]
+        plan = ds._block_plan(rows, m, ks_mode)
         assert plan.n_shifts.tolist().count(1) == 1
-        for i, data in enumerate(samples):
-            want = ds._distributional_plan(data, m, ks_mode)
-            k, n_shifts = want.atoms.size, want.grid.shifts.size
-            np.testing.assert_array_equal(plan.atoms[i, :k], want.atoms, strict=True)
-            np.testing.assert_array_equal(plan.counts[i, :k], want.counts, strict=True)
+        for i, (y0, y1, lo, hi) in enumerate(rows):
+            atoms, inverse, counts = np.unique(y0, return_inverse=True, return_counts=True)
+            grid = shift_grid([lo, hi], m)
+            bands = _bands(atoms, ecdf(y1), grid, ks_mode)
+            k, n_shifts = atoms.size, grid.shifts.size
+            np.testing.assert_array_equal(plan.atoms[i, :k], atoms, strict=True)
+            np.testing.assert_array_equal(plan.counts[i, :k], counts, strict=True)
             assert not plan.counts[i, k:].any()
-            np.testing.assert_array_equal(inverses[i], want.inverse, strict=True)
+            assert plan.n0[i] == y0.size
+            np.testing.assert_array_equal(plan.inverse[i, :y0.size], inverse, strict=True)
             assert plan.n_shifts[i] == n_shifts
-            np.testing.assert_array_equal(plan.shifts[i, :n_shifts], want.grid.shifts,
+            np.testing.assert_array_equal(plan.shifts[i, :n_shifts], grid.shifts,
                                           strict=True)
-            np.testing.assert_array_equal(plan.rank[i, :n_shifts], want.grid.rank,
+            np.testing.assert_array_equal(plan.rank[i, :n_shifts], grid.rank,
                                           strict=True)
             (group,) = [g for g in plan.groups if i in g.samples]
             member = np.flatnonzero(group.samples == i)[0]
-            rows = np.flatnonzero(group.member == member)
-            np.testing.assert_array_equal(group.shift[rows], np.arange(n_shifts))
-            np.testing.assert_array_equal(group.bands.cols[member], want.bands.cols,
+            rows_i = np.flatnonzero(group.member == member)
+            np.testing.assert_array_equal(group.shift[rows_i], np.arange(n_shifts))
+            np.testing.assert_array_equal(group.bands.cols[member], bands.cols,
                                           strict=True)
-            np.testing.assert_array_equal(group.bands.top[rows], want.bands.top, strict=True)
-            np.testing.assert_array_equal(group.bands.bottom[rows], want.bands.bottom,
+            np.testing.assert_array_equal(group.bands.top[rows_i], bands.top, strict=True)
+            np.testing.assert_array_equal(group.bands.bottom[rows_i], bands.bottom,
                                           strict=True)
-            assert plan.treated_mean[i] == data.treated_y.mean()
+            assert plan.treated_mean[i] == y1.mean()
 
     @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
     def test_block_values_are_the_bound_estimates(self, ks_mode):
@@ -336,3 +346,45 @@ class TestBlockPlan:
         want = _bound_estimates(samples, gammas, delta, m, ks_mode)
         np.testing.assert_array_equal(got, want, strict=True)
         assert not np.isnan(want).all()
+
+
+class TestBlockScan:
+    """One ``_scan`` of a multi-row block against the bound of each sample
+    alone: the estimate, the active shift and the weights, bit for bit."""
+
+    @pytest.mark.parametrize("window", [False, True], ids=["att", "did"])
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_rows_are_the_sample_bounds(self, ks_mode, direction, window):
+        gammas, delta, m, epsilon = (1.2, 2.0), 0.2, 6, 0.1
+        rng = np.random.default_rng(57)
+        # baselines without the effect, so that some windows are reached
+        samples = [Dataset(d.y, d.t, y_b=np.round(d.y - 2.5 * d.t + rng.normal(0, 0.5, d.n), 1))
+                   for d in _block_samples()]
+        plan = ds._block_plan([(d.control_y, d.treated_y, d.y.min(), d.y.max())
+                               for d in samples], m, ks_mode)
+        windows = None
+        if window:
+            target = np.array([DidTargets.from_dataset(d).target_mean for d in samples])
+            windows = (target - epsilon, target + epsilon)
+        got = {}  # (sample, gamma) -> (estimate, shift, weights)
+        for solve, j, sample, shift, ((picked, values),) in ds._scan(
+                plan, plan.capped(gammas), delta, (direction,), windows):
+            for r, value in zip(picked.tolist(), values.tolist()):
+                i = sample[r]
+                got[i, j] = (plan.treated_mean[i] - value, plan.shifts[i, shift[r]],
+                             plan.unit_weights(i, solve.weights_for(r, value)).tobytes())
+        bound = did_att_bound if window else distributional_att_bound
+        optimal = 0
+        for i, data in enumerate(samples):
+            for j, gamma in enumerate(gammas):
+                want = bound(data, SensitivityConfig(gamma=gamma, delta=delta, m=m,
+                                                     epsilon=epsilon, direction=direction,
+                                                     ks_mode=ks_mode))
+                if want.status != "optimal":
+                    assert (i, j) not in got
+                    continue
+                optimal += 1
+                assert got[i, j] == (want.estimate, want.active_shift,
+                                     want.weight_values.tobytes())
+        assert 0 < optimal < len(samples) * len(gammas)
