@@ -95,11 +95,10 @@ class RunConfig:
                                     for f in fields(SensitivityConfig)})
 
     def echo(self) -> dict:
-        out = asdict(self)
-        for key, value in out.items():  # non-finite floats (epsilon = inf by default)
-            out[key] = _json_float(value)
-        # normalize containers so the report round-trips through JSON exactly
-        return json.loads(json.dumps(out))
+        # the round trip normalizes containers, so that the report round-trips
+        # through JSON exactly, and reads every non-finite float (epsilon = inf
+        # by default), at any depth, as null
+        return json.loads(json.dumps(asdict(self)), parse_constant=lambda _: None)
 
 
 def _json_float(x):

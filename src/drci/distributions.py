@@ -10,9 +10,11 @@ composed CDF used by the change-in-changes target.
 The shift grid, its tie order (:func:`_pick`) and the shifted KS bands are
 built here only, row-wise, so that one sample is a block of one row: the
 grid by :func:`_grid_shifts` and :func:`_shift_rank`, the double-grid bands
-by :func:`_grid_bands`, which :func:`_bands` calls for one sample.  The
-solvers in :mod:`drci.dro_solvers` bound the weights with these bands, and
-:func:`min_shift_ks` reads its distances off them.
+by :func:`_grid_bands` and the exact ones, at any shifts, by
+:func:`_exact_bands`.  Both band builders take a block of samples, one per
+row, and refuse points that overflow.  The solvers in
+:mod:`drci.dro_solvers` bound the weights with these bands, and
+:func:`min_shift_ks` reads its distances off them for one sample.
 
 Conventions
 -----------
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -178,7 +180,8 @@ def _pick(values: np.ndarray, group: np.ndarray, rank: np.ndarray, maximize: boo
 def shift_grid(values, m: int) -> ShiftGrid:
     """Build the shift grid spanning ``[-(max-min), +(max-min)]``.
 
-    All-equal ``values`` yield the degenerate single-shift grid {0}.
+    All-equal ``values`` yield the degenerate single-shift grid {0}; a range
+    that overflows is refused.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -186,7 +189,7 @@ def shift_grid(values, m: int) -> ShiftGrid:
     if not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError("m must be a positive integer")
     lo, hi = float(values.min()), float(values.max())
-    span = hi - lo
+    span = float(_finite(np.float64(hi - lo)))
     if span == 0.0:
         return ShiftGrid(c0=0.0, epsilon=0.0, m=m, anchor=lo, shifts=np.zeros(1))
     return ShiftGrid(c0=-span, epsilon=span / m, m=m, anchor=lo,
@@ -290,29 +293,6 @@ class _Bands:
         return self.top - delta, self.bottom + delta
 
 
-def _bands(atoms: np.ndarray, target: WeightedEcdf, grid: ShiftGrid,
-           ks_mode: str) -> _Bands:
-    """Breakpoint bands of the double-grid KS constraint (at most 2m+3
-    columns, shared by every shift; :func:`_grid_bands` on one row) or of
-    the exact one (every column), for any CDF on the ascending distinct
-    ``atoms``."""
-    k = atoms.size
-    if ks_mode == "grid" and not grid.degenerate:
-        ((_, bands),) = _grid_bands(
-            np.array([grid.anchor]), np.array([-grid.c0]), grid.m,
-            lambda points: np.searchsorted(atoms, points, side="right"), target.cdf)
-        return _Bands(bands.cols[0], bands.top, bands.bottom)
-    top = np.full((grid.shifts.size, k + 1), -np.inf)
-    bottom = np.full_like(top, np.inf)
-    for j, c in enumerate(grid.shifts):
-        pts = np.union1d(atoms, target.atoms - c)
-        hit, first = np.unique(np.searchsorted(atoms, pts, side="right"), return_index=True)
-        values = target.cdf(pts + c)
-        top[j, hit] = np.maximum.reduceat(values, first)
-        bottom[j, hit] = np.minimum.reduceat(values, first)
-    return _Bands(np.arange(k + 1), top, bottom)
-
-
 def _grid_bands(anchor: np.ndarray, span: np.ndarray, m: int, count,
                 cdf) -> list[tuple[np.ndarray, _Bands]]:
     """The double-grid bands of R samples at once, grouped by width.
@@ -333,7 +313,8 @@ def _grid_bands(anchor: np.ndarray, span: np.ndarray, m: int, count,
     # that column 0 is a run of equal counts like every other column
     idx = np.zeros((anchor.size, n_points + 1), dtype=np.intp)
     idx[:, 1:] = count(anchor[:, None] + np.arange(n_points) * eps)
-    line = cdf((anchor - span)[:, None] + np.arange(4 * m + 1) * eps)
+    # the last line point is the greatest point of the bands
+    line = cdf(_finite((anchor - span)[:, None] + np.arange(4 * m + 1) * eps))
     new = np.ones(idx.shape, dtype=bool)
     new[:, 1:] = idx[:, 1:] != idx[:, :-1]  # a column's first point
     ends = np.ones(idx.shape, dtype=bool)
@@ -361,6 +342,64 @@ def _grid_bands(anchor: np.ndarray, span: np.ndarray, m: int, count,
     return groups
 
 
+_BLOCK = 1 << 16  # array elements per block of shifts in _exact_bands
+
+
+def _exact_bands(atoms: np.ndarray, k: np.ndarray, shifts: np.ndarray, t_atoms: np.ndarray,
+                 count, cdf) -> list[tuple[np.ndarray, _Bands]]:
+    """The exact-KS bands of R samples at any shifts, grouped by width.
+
+    Row i has the ascending distinct control atoms ``atoms[i, :k[i]]``, the
+    shifts ``shifts[i]`` (S) and the ascending treated atoms
+    ``t_atoms[i]``, each padded on the right with its last entry; ``count``
+    and ``cdf`` are as in :func:`_grid_bands`.  Shift c compares the control
+    CDF at each control atom and at each treated atom less c with the
+    treated CDF at that point plus c, which rises with the point.  So column
+    k >= 1, the points from atom k - 1 up to atom k, runs from the CDF at
+    atom k - 1 plus c to the largest value at its treated points (if it has
+    any), and column 0 holds only the treated points below the first atom.
+    The shifts go in blocks of about ``_BLOCK`` elements, so that the
+    temporaries stay small beside the bands.  Returns ``(members, bands)``
+    per width, as :func:`_grid_bands` does, every column a breakpoint.
+    """
+    n_rows, n_shifts = shifts.shape
+    width = atoms.shape[1] + 1
+    bands = np.empty((2, n_rows, n_shifts, width))
+    top, bottom = bands
+    step = max(1, _BLOCK // (n_rows * max(width, t_atoms.shape[1])))
+    for j in range(0, n_shifts, step):
+        c = shifts[:, j:j + step, None]
+        block = slice(j, j + c.shape[1])
+        bottom[:, block, 1:] = top[:, block, 1:] = _rowwise(cdf, _finite(atoms[:, None, :] + c))
+        top[:, block, 0], bottom[:, block, 0] = -np.inf, np.inf
+        points = _finite(t_atoms[:, None, :] - c)
+        cell = (np.arange(n_rows)[:, None] * n_shifts + np.arange(block.start, block.stop)) * width
+        at = (cell[..., None] + _rowwise(count, points)).ravel()  # flat (row, shift, column)
+        high = _rowwise(cdf, _finite(points + c)).ravel()
+        np.maximum.at(top.reshape(-1), at, high)
+        np.minimum.at(bottom.reshape(-1), at, high)
+    groups = []
+    for size in np.unique(k) + 1:
+        members = np.flatnonzero(k + 1 == size)
+        rows = slice(None) if members.size == n_rows else members  # a view where it can
+        groups.append((members, _Bands(np.tile(np.arange(size), (members.size, 1)),
+                                       *bands[:, rows, :, :size].reshape(2, -1, size))))
+    return groups
+
+
+def _rowwise(f, points: np.ndarray) -> np.ndarray:
+    """``f`` (a band builder's ``count`` or ``cdf``) at ``points`` (R, ...)."""
+    return f(points.reshape(points.shape[0], -1)).reshape(points.shape)
+
+
+def _finite(points: np.ndarray) -> np.ndarray:
+    """``points``, which must all be finite: they overflow only when the
+    outcomes span nearly the whole float range."""
+    if not np.isfinite(points).all():
+        raise ValueError("outcome range too large: the shift grid or KS band points overflow")
+    return points
+
+
 def min_shift_ks(
     f: WeightedEcdf,
     g: WeightedEcdf,
@@ -380,8 +419,13 @@ def min_shift_ks(
     """
     if mode not in ("grid", "exact_atoms"):
         raise ValueError(f"unknown mode {mode!r}")
-    bands = _bands(f.atoms, g, grid, mode)
-    cum = np.concatenate(([0.0], f.cum))[bands.cols]
+    count = partial(np.searchsorted, f.atoms, side="right")
+    ((_, bands),) = (
+        _grid_bands(np.array([grid.anchor]), np.array([-grid.c0]), grid.m, count, g.cdf)
+        if mode == "grid" and not grid.degenerate else
+        _exact_bands(f.atoms[None], np.array([f.n_atoms]), grid.shifts[None], g.atoms[None],
+                     count, g.cdf))
+    cum = np.concatenate(([0.0], f.cum))[bands.cols[0]]
     dists = np.maximum(bands.top - cum, cum - bands.bottom).max(axis=1)
     (best,) = _pick(dists, np.zeros(dists.size, dtype=np.intp), grid.rank,
                     maximize=False, tol=0.0)

@@ -67,8 +67,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import (Dataset, _bands, _Bands, _count_masses, _grid_bands, _grid_shifts,
-                            _pick, _shift_rank, ecdf, shift_grid)
+from .distributions import (Dataset, _Bands, _count_masses, _exact_bands, _finite,
+                            _grid_bands, _grid_shifts, _pick, _shift_rank)
 from .lp_core import LpProblem, solve_lp
 
 __all__ = [
@@ -285,7 +285,8 @@ class _BlockCaps:
 
 @dataclass(frozen=True)
 class _BandGroup:
-    """The KS bands of the samples of a block whose bands share a width L.
+    """The KS bands of the samples of a block whose bands share a width L
+    and one band builder call.
 
     ``bands.cols`` (M, L) holds one row of breakpoint columns per sample
     ``samples[i]``, and row r of ``bands.top``/``bands.bottom`` is shift
@@ -311,7 +312,7 @@ class _BlockPlan:
     its S grid shifts ``shifts[i, :S]`` (S = ``n_shifts[i]``: 1 for a
     degenerate grid, else 2m+1) with their :attr:`ShiftGrid.rank`
     ``rank[i, :S]``, and its treated mean.  ``groups`` holds the KS bands of
-    every shift at their breakpoint columns, by width.
+    every shift at their breakpoint columns, by band builder call and width.
     """
 
     atoms: np.ndarray
@@ -399,17 +400,18 @@ def _block_plan(rows, m: int, ks_mode: str) -> _BlockPlan:
     and tie order come from the row-wise helpers of
     :func:`~drci.distributions.shift_grid`.
 
-    In grid mode the bands of all non-degenerate rows come from one
-    :func:`~drci.distributions._grid_bands` call, which counts the atoms and
-    reads the treated CDF with one :meth:`_SortedRows.searchsorted` per arm.
-    Exact-KS and degenerate rows run :func:`~drci.distributions._bands` row
-    by row, on the sample's own :func:`~drci.distributions.ecdf` and
-    :func:`~drci.distributions.shift_grid`.
+    The band builders count the atoms and read the treated CDF with one
+    :meth:`_SortedRows.searchsorted` per arm.  In grid mode the bands of all
+    non-degenerate rows come from one :func:`~drci.distributions._grid_bands`
+    call; the exact-KS rows (2m+1 shifts) and the degenerate rows (the one
+    shift 0) come from one :func:`~drci.distributions._exact_bands` call
+    each.  A row whose grid or band points overflow is refused.
     """
     controls, treated, lo, hi = zip(*rows)
     n_rows = len(controls)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    span = hi - lo
+    with np.errstate(over="ignore"):  # a range that overflows is refused
+        span = _finite(hi - lo)
     shifts = _grid_shifts(span, m)  # an all-zero row where span == 0
     n_shifts = np.where(span == 0, 1, shifts.shape[1])
 
@@ -420,38 +422,28 @@ def _block_plan(rows, m: int, ks_mode: str) -> _BlockPlan:
     t_cdf[:, 1:] = np.minimum(np.cumsum(masses, axis=1), 1.0)
     t_cdf[np.arange(n_rows), k1] = 1.0
 
-    parts: dict[int, list] = {}  # width -> [(samples, bands)]
-    on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
-    grid_rows = np.flatnonzero(on_grid)
-    if grid_rows.size:
-        g = grid_rows[:, None]
-        c_keys, t_keys = _SortedRows(atoms), _SortedRows(t_atoms)
+    c_keys, t_keys = _SortedRows(atoms), _SortedRows(t_atoms)
+    groups = []
+
+    def add(rows, n, build, *args):  # the band groups of a builder on rows of n shifts
+        g = rows[:, None]
 
         def upto(keys, x):  # each point's number of row values up to it
             return keys.searchsorted(x, g, side="right") - keys.values.shape[1] * g
 
         # searches past a row's last atom also count its padding
-        for members, bands in _grid_bands(
-                lo[grid_rows], span[grid_rows], m,
-                lambda x: np.minimum(upto(c_keys, x), k0[g]),
-                lambda x: t_cdf[g, np.minimum(upto(t_keys, x), k1[g])]):
-            parts.setdefault(bands.cols.shape[1], []).append((grid_rows[members], bands))
-    for i in np.flatnonzero(~on_grid):
-        bands = _bands(atoms[i, :k0[i]], ecdf(treated[i]),
-                       shift_grid((lo[i], hi[i]), m), ks_mode)
-        parts.setdefault(k0[i] + 1, []).append(
-            (np.array([i]), replace(bands, cols=bands.cols[None])))
+        for members, bands in build(*args, lambda x: np.minimum(upto(c_keys, x), k0[g]),
+                                    lambda x: t_cdf[g, np.minimum(upto(t_keys, x), k1[g])]):
+            groups.append(_BandGroup(rows[members], np.repeat(np.arange(members.size), n),
+                                     np.tile(np.arange(n), members.size), bands))
 
-    groups = []
-    for same in parts.values():
-        samples = np.concatenate([s for s, _ in same])
-        size = n_shifts[samples]
-        groups.append(_BandGroup(
-            samples, np.repeat(np.arange(samples.size), size),
-            np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size),
-            same[0][1] if len(same) == 1 else
-            _Bands(*(np.concatenate([getattr(b, name) for _, b in same])
-                     for name in ("cols", "top", "bottom")))))
+    on_grid = (span > 0) if ks_mode == "grid" else np.zeros(n_rows, dtype=bool)
+    grid_rows = np.flatnonzero(on_grid)
+    if grid_rows.size:
+        add(grid_rows, shifts.shape[1], _grid_bands, lo[grid_rows], span[grid_rows], m)
+    for n in np.unique(n_shifts[~on_grid]):  # 2m+1 on exact-KS rows, 1 on degenerate ones
+        rows = np.flatnonzero(~on_grid & (n_shifts == n))
+        add(rows, n, _exact_bands, atoms[rows], k0[rows], shifts[rows, :n], t_atoms[rows])
     return _BlockPlan(
         atoms=atoms, counts=counts, inverse=inverse,
         n0=np.array([c.size for c in controls]),
@@ -749,6 +741,8 @@ def marginal_att_bound(data: Dataset, gamma: float, direction: str = "lower") ->
 
 def _optimal_result(data, direction, control_weights, counterfactual,
                     treated_mean, active_shift, warnings=()) -> BoundResult:
+    if not math.isfinite(treated_mean - counterfactual):  # either mean, or the estimate
+        raise ValueError("outcome scale too large: a mean or the estimate overflows")
     se = (
         conditional_se(data, control_weights)
         if data.n1 >= 2

@@ -6,11 +6,15 @@ scipy's HiGHS (:func:`highs_solve`), the marginal box-simplex by enumerating
 its vertex patterns, and the distributional model by exhausting the
 one-active-shift binary patterns with raw (unconsolidated) constraint rows,
 and the shifted KS distance by evaluating both raw step CDFs point by point.
+The KS bands of the plan builders have a reference that loops over the
+shifts (:func:`_loop_bands`), fed the same CDF as the builders, so that the
+two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -351,3 +355,44 @@ def composed_target(f_b1, f_b0, f_00):
     if masses.sum() <= 0:
         return None
     return sort_merge_ecdf(f_00.atoms, masses)
+
+
+_LoopBands = namedtuple("_LoopBands", "cols top bottom")
+
+
+def _loop_bands(atoms, target, grid, mode):
+    """KS bands ``(cols, top, bottom)``, a named tuple, of any CDF on the
+    ascending distinct control ``atoms`` against ``target`` (its ``atoms``
+    and ``cdf``), shift by shift over ``grid`` (its ``shifts``; ``anchor``,
+    ``c0`` and ``m`` for the double grid).  ``top``/``bottom`` (S, L) hold
+    the largest and smallest treated-CDF value compared with each column of
+    ``cols`` (``-inf``/``inf`` where none is).  ``exact_atoms``, and a
+    degenerate grid, compare every point of the atoms and the treated atoms
+    less the shift, at every column; ``grid`` compares the points
+    ``anchor + k*eps`` with the treated CDF at ``anchor + c0 + (j+k)*eps``,
+    at the columns they hit and the first and last."""
+    k = atoms.size
+    shifts = np.asarray(grid.shifts)
+    if mode == "grid" and shifts.size > 1:
+        span, m = -grid.c0, grid.m
+        eps = span / m
+        steps = np.arange(2 * m + 1)
+        hit = np.searchsorted(atoms, grid.anchor + steps * eps, side="right")
+        cols = np.union1d(hit, [0, k])
+        top = np.full((shifts.size, cols.size), -np.inf)
+        bottom = np.full_like(top, np.inf)
+        for j in range(shifts.size):
+            values = target.cdf((grid.anchor - span) + (j + steps) * eps)
+            for col, value in zip(np.searchsorted(cols, hit), values):
+                top[j, col] = max(top[j, col], value)
+                bottom[j, col] = min(bottom[j, col], value)
+        return _LoopBands(cols, top, bottom)
+    top = np.full((shifts.size, k + 1), -np.inf)
+    bottom = np.full_like(top, np.inf)
+    for j, c in enumerate(shifts):
+        pts = np.union1d(atoms, target.atoms - c)
+        hit, first = np.unique(np.searchsorted(atoms, pts, side="right"), return_index=True)
+        values = target.cdf(pts + c)
+        top[j, hit] = np.maximum.reduceat(values, first)
+        bottom[j, hit] = np.minimum.reduceat(values, first)
+    return _LoopBands(np.arange(k + 1), top, bottom)

@@ -785,6 +785,25 @@ class TestMain:
         report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert report["config"]["p"] is None
 
+    def test_non_finite_list_values_echo_as_null(self, fixture_csv, tmp_path, capsys):
+        # a setting the bound does not read, but the report echoes
+        conf = tmp_path / "cfg.json"
+        conf.write_text('{"deltas": [NaN], "gammas": [2.0, Infinity]}')
+        code = main(["att", "--config", str(conf), "--input", fixture_csv])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert report["config"]["deltas"] == [None]
+        assert report["config"]["gammas"] == [2.0, None]
+
+    def test_overflowing_outcomes_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("y,t\n-1e308,0\n0,1\n1,0\n1e308,1\n2,0\n-3,1\n")
+        with np.errstate(over="ignore"):
+            code = main(["att", "--input", str(path), "--model", "distributional",
+                         "--gamma", "2", "--delta", "0.5", "--m", "3"])
+        assert code == 1
+        assert "overflow" in capsys.readouterr().err
+
     def test_output_file_written_atomically(self, fixture_csv, tmp_path):
         out = tmp_path / "report.json"
         code = main(["att", "--input", fixture_csv, "--model", "marginal",

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_shift_ks, composed_target, raw_shift_rows, sort_merge_ecdf
+from oracles import _loop_bands, brute_shift_ks, composed_target, raw_shift_rows, sort_merge_ecdf
 
+from drci import distributions
 from drci.distributions import (
     Dataset,
+    ShiftGrid,
     WeightedEcdf,
-    _bands,
+    _Bands,
+    _exact_bands,
+    _grid_bands,
     _pick,
     cic_target_cdf,
     d0,
@@ -368,14 +372,22 @@ def _band_samples():
             ("earnings_treated_min", earnings[:100] + 100.0, earnings[100:])]
 
 
+def _one_row_grid_bands(atoms, target, grid):
+    """The grid-mode bands of one sample, its columns as one row."""
+    ((_, bands),) = _grid_bands(np.array([grid.anchor]), np.array([-grid.c0]), grid.m,
+                                lambda points: np.searchsorted(atoms, points, side="right"),
+                                target.cdf)
+    return _Bands(bands.cols[0], bands.top, bands.bottom)
+
+
 class TestGridBands:
     @pytest.mark.parametrize("m", [1, 3, 50, 200])
     @pytest.mark.parametrize("name,y0,y1", _band_samples(),
                              ids=[name for name, *_ in _band_samples()])
     def test_bands_match_the_raw_rows(self, name, y0, y1, m):
         cols, top, bottom = _oracle_grid_bands(y0, y1, m)
-        got = _bands(np.unique(y0), ecdf(y1), shift_grid(np.concatenate([y0, y1]), m),
-                     "grid")
+        got = _one_row_grid_bands(np.unique(y0), ecdf(y1),
+                                  shift_grid(np.concatenate([y0, y1]), m))
         np.testing.assert_array_equal(got.cols, cols)
         np.testing.assert_allclose(got.top, top, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.bottom, bottom, rtol=0, atol=1e-12)
@@ -383,6 +395,106 @@ class TestGridBands:
         # column 0 is hit only when a treated outcome is the smallest
         assert np.isfinite(top[:, -1]).all()
         assert np.isneginf(top[:, 0]).all() == name.endswith("control_min")
+
+
+def _oracle_exact_bands(y0, y1, shifts):
+    """Exact-KS bands from the oracle's unconsolidated KS rows at delta 0:
+    a point's column is the number of distinct controls at or below it, and
+    each shift's band at a column spans the treated CDF values its points
+    are compared with."""
+    ts = np.sort(y1)
+    tc = np.arange(ts.size + 1) / ts.size
+    k = np.unique(y0).size
+    top = np.full((shifts.size, k + 1), -np.inf)
+    bottom = np.full_like(top, np.inf)
+    for j, c in enumerate(shifts):
+        a, b = raw_shift_rows(y0, ts, tc, 0.0, 0.0, 0.0, 1, j, 0.0, "exact_atoms", c)
+        n_points = a.shape[0] // 2
+        for row, value in zip(a[:n_points], b[:n_points]):
+            col = np.unique(y0[row == 1]).size
+            top[j, col], bottom[j, col] = max(top[j, col], value), min(bottom[j, col], value)
+    return top, bottom
+
+
+def _exact_rows():
+    """(controls, treated, shifts) of a ragged block: tied outcomes, both
+    signed zeros on both arms, continuous outcomes and a degenerate row
+    (one value in both arms).  The 9 shifts of each row are grid shifts,
+    differences of a treated and a control value (where a treated point
+    lands on a control atom) and uniform draws."""
+    rng = np.random.default_rng(71)
+    rows = [(rng.integers(0, 6, 30) * 0.5, rng.integers(1, 8, 20) * 0.5),
+            (rng.choice([-0.0, 0.0, 1.0, -1.5, 2.0], 25), rng.choice([0.0, -0.0, 0.5, 2.5], 15)),
+            (rng.normal(0, 1, 40), rng.normal(0.5, 1.5, 12)),
+            (np.full(4, 3.0), np.full(3, 3.0))]
+    out = []
+    for y0, y1 in rows:
+        span = max(np.ptp(np.concatenate([y0, y1])), 1.0)
+        shifts = np.concatenate([
+            shift_grid([-span / 2, span / 2], 1).shifts,
+            rng.choice(y1, 3) - rng.choice(y0, 3), rng.uniform(-span, span, 3)])
+        out.append((y0, y1, shifts))
+    return out
+
+
+def _padded(rows):
+    """The rows as one array padded on the right with each row's last entry."""
+    width = max(r.size for r in rows)
+    return np.stack([np.concatenate([r, np.full(width - r.size, r[-1])]) for r in rows])
+
+
+def _block_exact_bands(rows):
+    """:func:`_exact_bands` of the block ``rows`` of (controls, treated,
+    shifts), with the treated atoms as :func:`numpy.unique` sorts them
+    (whichever zero comes first) and one search per row."""
+    atoms = [np.unique(y0) for y0, _, _ in rows]
+    targets = [ecdf(y1) for _, y1, _ in rows]
+
+    def count(points):
+        return np.stack([np.searchsorted(a, p, side="right") for a, p in zip(atoms, points)])
+
+    def cdf(points):
+        return np.stack([f.cdf(p) for f, p in zip(targets, points)])
+
+    return _exact_bands(_padded(atoms), np.array([a.size for a in atoms]),
+                        np.stack([s for _, _, s in rows]),
+                        _padded([np.unique(y1) for _, y1, _ in rows]), count, cdf)
+
+
+class TestExactBands:
+    """The row-wise exact-KS builder against the shift-by-shift loop, bit
+    for bit, and against the oracle's raw KS rows."""
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["one_block", "small_blocks"])
+    @pytest.mark.parametrize("rows", [[r] for r in _exact_rows()] + [_exact_rows()],
+                             ids=["tied", "signed_zeros", "normal", "degenerate", "block"])
+    def test_bands_match_the_shift_loop(self, rows, block, monkeypatch):
+        if block is not None:  # many blocks of shifts, some splitting a row
+            monkeypatch.setattr(distributions, "_BLOCK", block)
+        seen = []
+        for members, bands in _block_exact_bands(rows):
+            size = bands.cols.shape[1]
+            for place, i in enumerate(members.tolist()):
+                y0, y1, shifts = rows[i]
+                want = _loop_bands(np.unique(y0), ecdf(y1), ShiftGrid(0.0, 0.0, 1, 0.0, shifts),
+                                   "exact_atoms")
+                got = slice(place * shifts.size, (place + 1) * shifts.size)
+                np.testing.assert_array_equal(bands.cols[place], want.cols, strict=True)
+                np.testing.assert_array_equal(bands.top[got], want.top, strict=True)
+                np.testing.assert_array_equal(bands.bottom[got], want.bottom, strict=True)
+                assert size == want.cols.size
+                seen.append(i)
+        assert sorted(seen) == list(range(len(rows)))
+
+    @pytest.mark.parametrize("name,y0,y1", _band_samples(),
+                             ids=[name for name, *_ in _band_samples()])
+    def test_bands_match_the_raw_rows(self, name, y0, y1):
+        grid = shift_grid(np.concatenate([y0, y1]), 7)
+        shifts = np.concatenate([grid.shifts, y1[:5] - y0[:5]])
+        ((_, bands),) = _block_exact_bands([(y0, y1, shifts)])
+        top, bottom = _oracle_exact_bands(y0, y1, shifts)
+        np.testing.assert_allclose(bands.top, top, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bands.bottom, bottom, rtol=0, atol=1e-12)
 
 
 def _loop_pick(values, group, rank, maximize, tol):
@@ -465,6 +577,10 @@ class TestShiftGrid:
             shift_grid([0.0, 1.0], 0)
         with pytest.raises(ValueError, match="^m must be a positive integer$"):
             shift_grid([0.0, 1.0], 2.5)
+
+    def test_overflowing_range_is_refused(self):
+        with pytest.raises(ValueError, match="overflow"):
+            shift_grid([-1e308, 0.0, 1e308], 3)
 
     @pytest.mark.parametrize("values,m", [([0.0, 10.0], 5), ([3.0, 3.0, 3.0], 4),
                                           ([-7.3, -1.2, 0.4], 6)],

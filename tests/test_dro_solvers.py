@@ -321,6 +321,45 @@ def _assert_optimal_weights(data, r, cfg):
     assert np.all(a @ w <= b + 1e-8)
 
 
+class TestOverflowingOutcomes:
+    """Outcomes whose range overflows, whose KS band points overflow
+    (though the range does not) or whose means overflow are refused in both
+    KS modes and both directions; a sample at the 1e300 scale with a modest
+    range still solves."""
+
+    SAMPLES = {
+        "range": Dataset(y=[-1e308, 0.0, 1.0, 1e308, 2.0, -3.0], t=[0, 1, 0, 1, 0, 1]),
+        "points": Dataset(y=[0.0, 1e308, 1.0, 5e307, 2.0, 3.0], t=[0, 1, 0, 1, 0, 1]),
+        "mean": Dataset(y=[7e307, 8e307, 1e308, 9e307, 7.5e307, 9.5e307], t=[0, 1, 0, 1, 0, 1]),
+    }
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    @pytest.mark.parametrize("sample", ["range", "points", "mean"])
+    def test_refused(self, sample, ks_mode, direction):
+        cfg = SensitivityConfig(gamma=2.0, delta=0.5, m=3, direction=direction,
+                                ks_mode=ks_mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                distributional_att_bound(self.SAMPLES[sample], cfg)
+            if sample == "mean":
+                with pytest.raises(ValueError, match="overflow"):
+                    marginal_att_bound(self.SAMPLES[sample], 2.0, direction)
+
+    @pytest.mark.parametrize("direction", ["lower", "upper"])
+    @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
+    def test_large_scale_with_a_modest_range_solves(self, ks_mode, direction):
+        rng = np.random.default_rng(8)
+        data = _random_dataset(rng)
+        big = Dataset(y=1e300 * (10.0 + data.y), t=data.t)
+        cfg = SensitivityConfig(gamma=2.0, delta=0.5, m=5, direction=direction,
+                                ks_mode=ks_mode)
+        with np.errstate(over="ignore", invalid="ignore"):  # the SE squares the outcomes
+            r = distributional_att_bound(big, cfg)
+        assert r.status == "optimal"
+        assert math.isfinite(r.estimate) and math.isfinite(r.active_shift)
+
+
 class TestBucketKernel:
     """The breakpoint kernel against the independent brute-force oracles."""
 

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import drci.dro_solvers
 import drci.extensions
 from drci.distributions import Dataset, WeightedEcdf, shift_grid
 from drci.dro_solvers import SensitivityConfig, _select_shift, distributional_att_bound
@@ -350,7 +349,6 @@ class TestSignedZeroSamples:
                     for data in cases for fn, knobs in calls for d in ("lower", "upper")]
 
         now = solve_all()
-        monkeypatch.setattr(drci.dro_solvers, "ecdf", _merged_ecdf)
         monkeypatch.setattr(drci.extensions, "ecdf", _merged_ecdf)
         monkeypatch.setattr(drci.extensions, "cic_target_cdf", _merged_cic_target)
         assert solve_all() == now

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import _loop_bands
 
 import drci.dro_solvers as ds
 import drci.synthetic as syn
-from drci.distributions import Dataset, _bands, ecdf, shift_grid
+from drci.distributions import Dataset, ecdf, shift_grid
 from drci.dro_solvers import SensitivityConfig, distributional_att_bound
 from drci.extensions import DidTargets, did_att_bound
 from drci.synthetic import Scenario, generate_scenario, run_monte_carlo, true_att
@@ -299,8 +300,8 @@ def _block_samples():
 
 class TestBlockPlan:
     """The block builder against per-row references built from
-    :func:`numpy.unique`, ``shift_grid``, ``ecdf`` and ``_bands``, field by
-    field."""
+    :func:`numpy.unique`, ``shift_grid``, ``ecdf`` and the oracles'
+    shift-by-shift band loop, field by field."""
 
     @pytest.mark.parametrize("ks_mode", ["grid", "exact_atoms"])
     def test_rows_are_the_sample_plans(self, ks_mode):
@@ -315,7 +316,7 @@ class TestBlockPlan:
         for i, (y0, y1, lo, hi) in enumerate(rows):
             atoms, inverse, counts = np.unique(y0, return_inverse=True, return_counts=True)
             grid = shift_grid([lo, hi], m)
-            bands = _bands(atoms, ecdf(y1), grid, ks_mode)
+            bands = _loop_bands(atoms, ecdf(y1), grid, ks_mode)
             k, n_shifts = atoms.size, grid.shifts.size
             np.testing.assert_array_equal(plan.atoms[i, :k], atoms, strict=True)
             np.testing.assert_array_equal(plan.counts[i, :k], counts, strict=True)
